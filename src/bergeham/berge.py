@@ -104,6 +104,24 @@ def verify_cycle(H: Hypergraph, cycle: BergeCycle, weak: bool = False) -> bool:
     return True
 
 
+class CertificateError(RuntimeError):
+    """A certificate that fails verification: the code that built it is
+    wrong, so the answer it supports must not be reported."""
+
+
+def certify(H: Hypergraph, cert: Union[BergePath, BergeCycle]):
+    """Return ``cert`` when it is a valid Berge path or cycle of H; raise
+    CertificateError otherwise. An explicit check, so that it also runs
+    under ``python -O``."""
+    if isinstance(cert, BergeCycle):
+        valid = verify_cycle(H, cert)
+    else:
+        valid = verify_path(H, cert)
+    if not valid:
+        raise CertificateError(f"certificate fails verification: {cert.to_json()}")
+    return cert
+
+
 def certificate_from_json(payload: dict) -> Union[BergePath, BergeCycle]:
     cls = BergeCycle if payload.get("cycle") else BergePath
     return cls(tuple(payload["vertices"]), tuple(payload["edge_ids"]))
@@ -211,6 +229,31 @@ def endpoint_closure(
     return closure
 
 
+def extend_at_tip(
+    H: Hypergraph, path: BergePath, used: set, on_path: set
+) -> Optional[BergePath]:
+    """``path`` extended at its endpoint through the first unused edge there
+    that holds a vertex off the path (its first such vertex); None when the
+    endpoint is stuck. ``used`` and ``on_path`` are the path's edge ids and
+    vertices as sets."""
+    for e in H.incidence[path.last]:
+        if e not in used:
+            for v in H.edges[e]:
+                if v not in on_path:
+                    return BergePath(path.vertices + (v,), path.edge_ids + (e,))
+    return None
+
+
+def closing_edge(H: Hypergraph, path: BergePath, used: set) -> Optional[int]:
+    """The lowest-id edge not in ``used`` through both ends of a path of two
+    or more vertices, or None."""
+    if len(path) >= 2:
+        for e in H.edges_with_pair(path.first, path.last):
+            if e not in used:
+                return e
+    return None
+
+
 ExtensionResult = Union[BergePath, BergeCycle, None]
 
 
@@ -222,20 +265,11 @@ def extend_or_close(H: Hypergraph, path: BergePath) -> ExtensionResult:
     if not verify_path(H, path):
         raise ValueError("extend_or_close requires a valid Berge path")
     used = set(path.edge_ids)
-    on_path = set(path.vertices)
-    last = path.last
-    for e in H.incidence[last]:
-        if e in used:
-            continue
-        for v in H.edges[e]:
-            if v not in on_path:
-                return BergePath(path.vertices + (v,), path.edge_ids + (e,))
-    if len(path) >= 2:
-        first = path.first
-        for e in H.incidence[last]:
-            if e not in used and first in H.edges[e]:
-                return BergeCycle(path.vertices, path.edge_ids + (e,))
-    return None
+    longer = extend_at_tip(H, path, used, set(path.vertices))
+    if longer is not None:
+        return longer
+    e = closing_edge(H, path, used)
+    return None if e is None else close_with(path, e)
 
 
 def close_with(path: BergePath, e: int) -> BergeCycle:

@@ -1,15 +1,21 @@
 """Constructive search for Berge Hamilton cycles.
 
-The main loop keeps a longest-known Berge path and alternates three moves:
-greedy extension at either end, closing the path into a cycle and reopening
-it through an edge that leaves the cycle (which gains a vertex), and
-rotation closures at both ends to expose new endpoint pairs. The engine is
-one-sided: "yes" always ships a verified certificate, while "no" only comes
-from disconnection or the exact oracle.
+One search core serves both entry points. ``_search`` keeps a Berge path
+and alternates greedy extension at either end (``_grow``) with rotation:
+``_witnesses`` lazily harvests endpoint-pair witnesses from rotation
+closures at the tip and then at the other end of each tip witness, and
+``_try_endpoint`` takes a one-step win from a witness, extending it at
+its tip or closing it through both ends (reopening a cycle that does not
+span into a longer path). The search stops with a Hamilton cycle or says
+why it could not find one: the path spans but cannot be closed, the
+budget ran out, or the path is stuck.
 
-The same machinery drives the absorption loop, which grows a sparse
-extracted subgraph by adding pairs (or single edges) from the host whenever
-they verifiably lengthen the engine's best path or close a spanning cycle.
+``decide_hamiltonian`` runs the core once per restart vertex. The engine
+is one-sided: "yes" always ships a certificate checked in ``_yes``, while
+"no" only comes from disconnection or the exact oracle.
+``absorption_run`` runs the core once per step on a sparse extracted
+subgraph, and between steps adds pairs (or single edges) from the host
+that verifiably lengthen the path or close a spanning cycle.
 """
 
 from __future__ import annotations
@@ -21,8 +27,12 @@ from typing import Optional, Tuple
 from .berge import (
     BergeCycle,
     BergePath,
+    CertificateError,
+    certify,
     close_with,
+    closing_edge,
     endpoint_closure,
+    extend_at_tip,
     reopen_cycle,
     verify_cycle,
 )
@@ -35,6 +45,11 @@ DEFAULT_BUDGET = 200_000
 YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
+
+# Why a search stopped without a cycle.
+SPANNING_UNCLOSABLE = "spanning_unclosable"
+BUDGET = "budget"
+STUCK = "stuck"
 
 
 @dataclass
@@ -86,6 +101,24 @@ class _Budget:
         }
 
 
+def _yes(
+    H: Hypergraph, cycle: BergeCycle, tracker: _Budget, provenance: str = "rotation"
+) -> DecisionOutcome:
+    """The one place a "yes" is built: its certificate must be a Berge
+    Hamilton cycle of H, or CertificateError is raised."""
+    if len(cycle) != H.n:
+        raise CertificateError(
+            f"a {len(cycle)}-vertex cycle is no Hamilton cycle of {H.n} vertices"
+        )
+    return DecisionOutcome(
+        YES,
+        certificate=certify(H, cycle),
+        provenance=provenance,
+        effort=tracker.effort(),
+        best_length=H.n,
+    )
+
+
 def initial_path(H: Hypergraph, start: Optional[int] = None) -> BergePath:
     """Single-vertex path at the max-degree vertex (ties to the smallest)."""
     if start is None:
@@ -103,74 +136,49 @@ def greedy_path(
 
 
 def _grow(H: Hypergraph, path: BergePath, budget: _Budget) -> BergePath:
-    """Greedy extension at both ends until stuck; returns the final path
-    oriented with its original first vertex first."""
+    """Greedy extension at the current end, switching ends when it is
+    stuck, until both are; returns the final path oriented with its
+    original first vertex first."""
     flipped = False
     used = set(path.edge_ids)
     on_path = set(path.vertices)
     while not budget.exhausted:
-        extended = False
-        for _ in range(2):
-            last = path.last
-            found = None
-            for e in H.incidence[last]:
-                if e in used:
-                    continue
-                for v in H.edges[e]:
-                    if v not in on_path:
-                        found = (e, v)
-                        break
-                if found:
-                    break
-            if found:
-                budget.extensions += 1
-                e, v = found
-                path = BergePath(path.vertices + (v,), path.edge_ids + (e,))
-                used.add(e)
-                on_path.add(v)
-                extended = True
+        longer = extend_at_tip(H, path, used, on_path)
+        if longer is None:
+            path, flipped = path.reverse(), not flipped
+            longer = extend_at_tip(H, path, used, on_path)
+            if longer is None:
                 break
-            path = path.reverse()
-            flipped = not flipped
-        if not extended:
-            break
-    return path.reverse() if flipped else path
-
-
-def _close_and_reopen(
-    H: Hypergraph, path: BergePath, e: int, budget: _Budget
-) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
-    """Close ``path`` with edge e; return (cycle, None) when spanning,
-    (None, longer path) after reopening otherwise."""
-    cycle = close_with(path, e)
-    if len(cycle) == H.n:
-        return cycle, None
-    reopened = reopen_cycle(H, cycle)
-    if reopened is not None:
         budget.extensions += 1
-    return None, reopened
+        path = longer
+        used.add(path.edge_ids[-1])
+        on_path.add(path.last)
+    return path.reverse() if flipped else path
 
 
 def _try_endpoint(
     H: Hypergraph, cand: BergePath, budget: _Budget
 ) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
-    """From a rotated path, try a one-step win: extend at the endpoint, or
-    close with an unused edge through both ends (then reopen)."""
+    """From a witness, try a one-step win: extend at its tip, or close it
+    with an unused edge through both ends. Returns (cycle, None) when the
+    closed cycle spans, (None, longer path) after an extension or after
+    reopening the cycle, and (None, None) otherwise."""
     used = set(cand.edge_ids)
-    on_path = set(cand.vertices)
-    last = cand.last
-    for e in H.incidence[last]:
-        if e in used:
-            continue
-        for v in H.edges[e]:
-            if v not in on_path:
-                budget.extensions += 1
-                return None, BergePath(cand.vertices + (v,), cand.edge_ids + (e,))
-    if len(cand) >= 2:
-        for e in H.edges_with_pair(cand.first, cand.last):
-            if e not in used:
-                return _close_and_reopen(H, cand, e, budget)
-    return None, None
+    longer = None
+    if len(cand) < H.n:
+        longer = extend_at_tip(H, cand, used, set(cand.vertices))
+    if longer is None:
+        e = closing_edge(H, cand, used)
+        if e is None:
+            return None, None
+        cycle = close_with(cand, e)
+        if len(cycle) == H.n:
+            return cycle, None
+        longer = reopen_cycle(H, cycle)
+        if longer is None:
+            return None, None
+    budget.extensions += 1
+    return None, longer
 
 
 def _closure(H: Hypergraph, path: BergePath, budget: _Budget):
@@ -180,25 +188,54 @@ def _closure(H: Hypergraph, path: BergePath, budget: _Budget):
     return closure
 
 
+def _witnesses(H: Hypergraph, path: BergePath, budget: _Budget):
+    """Endpoint-pair witnesses of ``path``, lazily: the rotation closure at
+    its tip (always run), then, while the budget lasts, the closure at the
+    other end of each tip witness. All share the vertex set of ``path``."""
+    tip = _closure(H, path, budget).paths.values()
+    yield from tip
+    for cand in tip:
+        if budget.exhausted:
+            return
+        yield from _closure(H, cand.reverse(), budget).paths.values()
+
+
 def _improve(
     H: Hypergraph, path: BergePath, budget: _Budget
 ) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
-    """Rotation phase for a greedy-stuck path: single closure at the tip,
-    then closures at the other end of every rotated witness."""
-    closure_a = _closure(H, path, budget)
-    for cand in closure_a.paths.values():
-        cycle, better = _try_endpoint(H, cand, budget)
-        if cycle or better:
-            return cycle, better
-    for cand in closure_a.paths.values():
-        if budget.exhausted:
-            break
-        closure_b = _closure(H, cand.reverse(), budget)
-        for cand2 in closure_b.paths.values():
-            cycle, better = _try_endpoint(H, cand2, budget)
-            if cycle or better:
-                return cycle, better
+    """``_try_endpoint`` on the first witness of ``path`` that wins, or
+    (None, None) when none does."""
+    for cand in _witnesses(H, path, budget):
+        cycle, longer = _try_endpoint(H, cand, budget)
+        if cycle or longer:
+            return cycle, longer
     return None, None
+
+
+def _search(
+    H: Hypergraph, path: BergePath, tracker: _Budget
+) -> Tuple[Optional[BergeCycle], BergePath, Optional[str]]:
+    """Grow ``path``; once it spans, close it directly or through rotated
+    witnesses, and otherwise improve it by rotation and grow again.
+
+    Returns (cycle, last path, stop): a Hamilton cycle with stop None, or
+    None and why the search stopped (SPANNING_UNCLOSABLE, BUDGET or STUCK).
+    """
+    while True:
+        path = _grow(H, path, tracker)
+        if len(path) == H.n:
+            cycle, _ = _try_endpoint(H, path, tracker)
+            if cycle is None and not tracker.exhausted:
+                cycle, _ = _improve(H, path, tracker)
+            return cycle, path, None if cycle else SPANNING_UNCLOSABLE
+        if tracker.exhausted:
+            return None, path, BUDGET
+        # _try_endpoint returns a cycle only when it spans, and the
+        # witnesses of a path that does not span do not
+        _, longer = _improve(H, path, tracker)
+        if longer is None:
+            return None, path, STUCK
+        path = longer
 
 
 def decide_hamiltonian(
@@ -220,7 +257,7 @@ def decide_hamiltonian(
         raise ValueError(f"need at least 3 vertices, got n={H.n}")
     tracker = _Budget(budget)
     if not H.is_connected:
-        return DecisionOutcome(NO, provenance="rotation", effort=tracker.effort())
+        return DecisionOutcome(NO, effort=tracker.effort())
 
     degs = H.degrees()
     order = sorted(range(H.n), key=lambda v: (-degs[v], v))
@@ -233,81 +270,19 @@ def decide_hamiltonian(
         if tracker.exhausted and best_len > 0:
             break
         tracker.restarts += 1
-        path = initial_path(H, start)
-        while True:
-            path = _grow(H, path, tracker)
-            best_len = max(best_len, len(path))
-            if len(path) == H.n:
-                closed = _finish_spanning(H, path, tracker)
-                if closed is not None:
-                    assert verify_cycle(H, closed)
-                    return DecisionOutcome(
-                        YES,
-                        certificate=closed,
-                        provenance="rotation",
-                        effort=tracker.effort(),
-                        best_length=H.n,
-                    )
-                break  # spanning but unclosable from here; restart
-            if tracker.exhausted:
-                break
-            cycle, better = _improve(H, path, tracker)
-            if cycle is not None:
-                assert verify_cycle(H, cycle)
-                return DecisionOutcome(
-                    YES,
-                    certificate=cycle,
-                    provenance="rotation",
-                    effort=tracker.effort(),
-                    best_length=H.n,
-                )
-            if better is None:
-                break
-            path = better
-            best_len = max(best_len, len(path))
+        cycle, path, _ = _search(H, initial_path(H, start), tracker)
+        if cycle is not None:
+            return _yes(H, cycle, tracker)
+        best_len = max(best_len, len(path))
 
     if fallback and H.n <= guard.max_n and H.num_edges <= guard.max_edges:
         cert = exact_hamiltonian(H, guard)
-        verdict = YES if cert is not None else NO
+        if cert is not None:
+            return _yes(H, cert, tracker, provenance="oracle")
         return DecisionOutcome(
-            verdict,
-            certificate=cert,
-            provenance="oracle",
-            effort=tracker.effort(),
-            best_length=H.n if cert else best_len,
+            NO, provenance="oracle", effort=tracker.effort(), best_length=best_len
         )
-    return DecisionOutcome(
-        UNKNOWN, provenance="rotation", effort=tracker.effort(), best_length=best_len
-    )
-
-
-def _finish_spanning(
-    H: Hypergraph, path: BergePath, budget: _Budget
-) -> Optional[BergeCycle]:
-    """Close a spanning path into a Hamilton cycle, rotating both ends to
-    hunt for a closable endpoint pair."""
-    used = set(path.edge_ids)
-    for e in H.edges_with_pair(path.first, path.last):
-        if e not in used:
-            return close_with(path, e)
-    if budget.exhausted:
-        return None
-    closure_a = _closure(H, path, budget)
-    for cand in closure_a.paths.values():
-        used = set(cand.edge_ids)
-        for e in H.edges_with_pair(cand.first, cand.last):
-            if e not in used:
-                return close_with(cand, e)
-    for cand in closure_a.paths.values():
-        if budget.exhausted:
-            return None
-        closure_b = _closure(H, cand.reverse(), budget)
-        for cand2 in closure_b.paths.values():
-            used = set(cand2.edge_ids)
-            for e in H.edges_with_pair(cand2.first, cand2.last):
-                if e not in used:
-                    return close_with(cand2, e)
-    return None
+    return DecisionOutcome(UNKNOWN, effort=tracker.effort(), best_length=best_len)
 
 
 # -- expander extraction and absorption ---------------------------------------
@@ -431,17 +406,9 @@ def absorption_run(
         d0 = default_d0(G.n, eps)
     tracker = _Budget(budget)
     trace: list = []
-    if G.n < 3 or not G.is_connected:
+    if G.n < 3 or not G.is_connected or budget <= 0:
         verdict = NO if not G.is_connected else UNKNOWN
-        return (
-            DecisionOutcome(verdict, provenance="rotation", effort=tracker.effort()),
-            trace,
-        )
-    if budget <= 0:
-        return (
-            DecisionOutcome(UNKNOWN, provenance="rotation", effort=tracker.effort()),
-            trace,
-        )
+        return DecisionOutcome(verdict, effort=tracker.effort()), trace
 
     gamma0 = extract_expander(G, d0, seed)
     connect = connect_components(G, gamma0)
@@ -458,69 +425,19 @@ def absorption_run(
 
     path = initial_path(gamma)
     for step in range(G.n + 1):
-        # grow inside gamma as far as rotations allow
-        while True:
-            path = _grow(gamma, path, tracker)
-            if len(path) == gamma.n:
-                closed = _finish_spanning(gamma, path, tracker)
-                if closed is not None:
-                    cert = _remap_to_host(G, gamma, closed)
-                    assert verify_cycle(G, cert)
-                    trace.append({"event": "hamiltonian", "step": step})
-                    return (
-                        DecisionOutcome(
-                            YES,
-                            certificate=cert,
-                            provenance="rotation",
-                            effort=tracker.effort(),
-                            best_length=G.n,
-                        ),
-                        trace,
-                    )
-                break  # spanning but unclosable inside gamma; absorb
-            if tracker.exhausted:
-                return (
-                    DecisionOutcome(
-                        UNKNOWN,
-                        provenance="rotation",
-                        effort=tracker.effort(),
-                        best_length=len(path),
-                    ),
-                    trace,
-                )
-            cycle, better = _improve(gamma, path, tracker)
-            if cycle is not None:
-                cert = _remap_to_host(G, gamma, cycle)
-                assert verify_cycle(G, cert)
-                trace.append({"event": "hamiltonian", "step": step})
-                return (
-                    DecisionOutcome(
-                        YES,
-                        certificate=cert,
-                        provenance="rotation",
-                        effort=tracker.effort(),
-                        best_length=G.n,
-                    ),
-                    trace,
-                )
-            if better is None:
-                break
-            path = better
-        if step == G.n:
+        cycle, path, stop = _search(gamma, path, tracker)
+        if cycle is not None:
+            trace.append({"event": "hamiltonian", "step": step})
+            return _yes(G, _remap_to_host(G, gamma, cycle), tracker), trace
+        if stop == BUDGET or step == G.n:
             break
-
         boosted = _absorb_step(G, gamma, path, tracker, trace, step)
         if boosted is None:
             break
         gamma, path = boosted
 
     return (
-        DecisionOutcome(
-            UNKNOWN,
-            provenance="rotation",
-            effort=tracker.effort(),
-            best_length=len(path),
-        ),
+        DecisionOutcome(UNKNOWN, effort=tracker.effort(), best_length=len(path)),
         trace,
     )
 
@@ -530,24 +447,7 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
     endpoint pairs from rotation closures at both ends. Returns the new
     (gamma, path) or None when nothing improves."""
     target = len(path)
-    closure_a = _closure(gamma, path, tracker)
-    pairs = list(closure_a.paths.values())
-    seen_pairs = set()
-    candidates = []
-    for cand in pairs:
-        candidates.append(cand)
-        seen_pairs.add((cand.first, cand.last))
-    for cand in pairs:
-        if tracker.exhausted:
-            break
-        closure_b = _closure(gamma, cand.reverse(), tracker)
-        for cand2 in closure_b.paths.values():
-            key = (cand2.first, cand2.last)
-            if key not in seen_pairs:
-                seen_pairs.add(key)
-                candidates.append(cand2)
-
-    for witness in candidates:
+    for witness in list(_witnesses(gamma, path, tracker)):
         s, t = witness.first, witness.last
         cands_t = _booster_candidates(G, gamma, t)
         # single-edge absorption: extend at the tip or close through both ends

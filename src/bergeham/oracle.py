@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .berge import BergeCycle, BergePath, verify_cycle, verify_path
+from .berge import BergeCycle, BergePath, certify
 from .hypergraph import CapacityError, Hypergraph
 
 
@@ -110,8 +110,7 @@ def exact_hamiltonian(
 
     if place(1):
         cycle = BergeCycle(tuple(seq), tuple(edge_of_slot[i] for i in range(n)))
-        assert verify_cycle(H, cycle)
-        return cycle
+        return certify(H, cycle)
     return None
 
 
@@ -169,9 +168,7 @@ def exact_longest_path(H: Hypergraph, guard: OracleGuard = DEFAULT_GUARD) -> Ber
         if len(best[0]) == n:
             break
 
-    path = BergePath(best[0], best[1])
-    assert verify_path(H, path)
-    return path
+    return certify(H, BergePath(best[0], best[1]))
 
 
 def exact_is_booster(
