@@ -245,12 +245,11 @@ def extend_at_tip(
 
 
 def closing_edge(H: Hypergraph, path: BergePath, used: set) -> Optional[int]:
-    """The lowest-id edge not in ``used`` through both ends of a path of two
-    or more vertices, or None."""
-    if len(path) >= 2:
-        for e in H.edges_with_pair(path.first, path.last):
-            if e not in used:
-                return e
+    """The lowest-id edge not in ``used`` through both ends of the path, or
+    None (always for a single vertex: no edge holds a vertex twice)."""
+    for e in H.edges_with_pair(path.vertices[0], path.vertices[-1]):
+        if e not in used:
+            return e
     return None
 
 

@@ -165,7 +165,7 @@ def _try_endpoint(
     reopening the cycle, and (None, None) otherwise."""
     used = set(cand.edge_ids)
     longer = None
-    if len(cand) < H.n:
+    if len(cand.vertices) < H.n:
         longer = extend_at_tip(H, cand, used, set(cand.vertices))
     if longer is None:
         e = closing_edge(H, cand, used)
