@@ -12,9 +12,11 @@ from bergeham.berge import (
     verify_cycle,
     verify_path,
 )
-from bergeham.generators import binomial, complete
+from bergeham.engine import greedy_path
+from bergeham.generators import binomial, complete, two_cliques_matching
 from bergeham.hypergraph import Hypergraph
 from bergeham.oracle import exact_longest_path
+from bergeham.process import random_process
 from bergeham.rng import SplitMix64
 
 
@@ -144,6 +146,84 @@ class TestEndpointClosure:
         H = host_with([(0, 1, 2)])
         with pytest.raises(ValueError):
             endpoint_closure(H, BergePath((0, 3), (0,)))
+
+
+def reference_closure(H, path, budget=None):
+    """Eager breadth-first rotation closure built from ``rotation_pivots``
+    and ``rotate``: every rotation is built and counted, the budget is
+    checked before each one, and the first witness per endpoint is kept.
+    Returns (paths, rotations, budget_exhausted)."""
+    paths = {path.last: path}
+    rotations = 0
+    queue = [path]
+    while queue:
+        nxt = []
+        for cur in queue:
+            for e in H.incidence[cur.last]:
+                for q in rotation_pivots(H, cur, e):
+                    if budget is not None and rotations >= budget:
+                        return paths, rotations, True
+                    rotations += 1
+                    rotated = rotate(H, cur, e, pivot=q)
+                    if rotated.last not in paths:
+                        paths[rotated.last] = rotated
+                        nxt.append(rotated)
+        queue = nxt
+    return paths, rotations, False
+
+
+def _closure_cases():
+    """Hosts for the differential closure test: prefixes of random
+    processes on complete, two-cliques-plus-matching and binomial hosts."""
+    hosts = [
+        (complete(9, 3), (12, 30, 84)),
+        (two_cliques_matching(12, seed=3), (15, 30, 44)),
+        (two_cliques_matching(18, seed=1), (40, 90, 142)),
+        (binomial(10, 3, 0.4, seed=2), (20, 45)),
+    ]
+    for H, steps in hosts:
+        proc = random_process(H, seed=H.num_edges)
+        for t in steps:
+            yield proc.prefix(min(t, H.num_edges))
+
+
+class TestClosureMatchesReference:
+    """endpoint_closure against ``reference_closure``: the same witnesses
+    in the same insertion order, the same rotation count and the same
+    budget flag, for budgets that run out at every stage of the search."""
+
+    def test_greedy_paths_all_budgets(self):
+        compared = exhausted = 0
+        for G in _closure_cases():
+            for start in (0, G.n // 2, G.n - 1):
+                grown = greedy_path(G, start)
+                for path in (grown, grown.reverse()):
+                    _, total, _ = reference_closure(G, path)
+                    budgets = {None, 0, 1, 2, 7, total // 3, total // 2}
+                    budgets |= {max(total - 1, 0), total}
+                    for budget in sorted(budgets, key=lambda b: -1 if b is None else b):
+                        want = reference_closure(G, path, budget)
+                        got = endpoint_closure(G, path, budget=budget)
+                        assert got.fixed == path.first
+                        assert list(got.paths.items()) == list(want[0].items())
+                        assert got.rotations_applied == want[1]
+                        assert got.budget_exhausted == want[2]
+                        compared += 1
+                        exhausted += want[2]
+        assert compared > 300
+        assert exhausted > 100
+
+    def test_budget_equal_to_total_is_not_exhausted(self):
+        H = complete(7, 3)
+        path = greedy_path(H)
+        total = endpoint_closure(H, path).rotations_applied
+        assert total > 0
+        closure = endpoint_closure(H, path, budget=total)
+        assert closure.rotations_applied == total
+        assert not closure.budget_exhausted
+        short = endpoint_closure(H, path, budget=total - 1)
+        assert short.rotations_applied == total - 1
+        assert short.budget_exhausted
 
 
 class TestExtendOrClose:

@@ -8,6 +8,7 @@ from bergeham.process import (
     hamiltonicity_probe,
     oracle_probe,
     predicate_probe,
+    SubgraphProcess,
     random_process,
     records_to_csv,
     run_trials,
@@ -55,6 +56,33 @@ class TestRandomProcess:
         g2 = proc.prefix(2)
         assert g2.num_edges == 2
         assert g2.edges[0] == H.edges[proc.sigma[0]]
+
+
+class TestSubgraphProcess:
+    def test_accepts_any_permutation(self):
+        H = complete(5, 3)
+        sigma = tuple(reversed(range(H.num_edges)))
+        assert SubgraphProcess(H, sigma).num_steps == H.num_edges
+
+    def test_accepts_empty_order_on_empty_host(self):
+        assert SubgraphProcess(Hypergraph(4, 3, []), ()).num_steps == 0
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            (0, 1, 2, 3, 3),  # duplicate id
+            (0, 1, 2, 3, 5),  # out-of-range id
+            (0, 1, 2, -1, 4),  # negative id
+            (0, 1, 2, 3),  # too short
+            (0, 1, 2, 3, 4, 5),  # too long
+            (0, 1, 2, 3, 4, 4),  # too long, every id in range
+            (),  # empty order on a nonempty host
+        ],
+    )
+    def test_rejects_non_permutation(self, sigma):
+        H = Hypergraph(6, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 5)])
+        with pytest.raises(ValueError):
+            SubgraphProcess(H, sigma)
 
 
 class TestTauMinDegree:
