@@ -185,47 +185,56 @@ class RotationClosure:
 def endpoint_closure(
     H: Hypergraph, path: BergePath, budget: Optional[int] = None
 ) -> RotationClosure:
-    """Breadth-first rotation exploration from ``path``, deduplicating by
-    endpoint. ``budget`` caps the number of rotate applications; None
-    means exhaustive."""
+    """Breadth-first rotation exploration from ``path``, keeping the first
+    witness per endpoint. ``budget`` caps the number of rotations, checked
+    before each one; None means exhaustive. Every rotation counts, also
+    one that reaches an endpoint already seen: that one is counted but its
+    path is never built, since it could not change the closure."""
     if not verify_path(H, path):
         raise ValueError("endpoint_closure requires a valid Berge path")
     closure = RotationClosure(fixed=path.first, paths={path.last: path})
-    queue = [(path, frozenset(path.edge_ids))]
+    ell = len(path.vertices)
+    if ell < 3:
+        return closure
+    # pivots sit at positions 0..ell-3: one at ell-2 would keep the endpoint
+    limit = ell - 2
+    paths = closure.paths
     edges = H.edges
     incidence = H.incidence
+    positions = range(ell)
+    # every witness has the vertex set of ``path``, so one map serves them
+    # all: vertices off the path sit at ``ell``, past every pivot
+    pos = dict.fromkeys(range(H.n), ell)
+    pos_of = pos.__getitem__
+    rotations = 0
+    queue = [path]
     while queue:
         nxt = []
-        for cur, used in queue:
+        for cur in queue:
             vs = cur.vertices
-            ell = len(vs)
-            if ell < 3:
-                continue
+            pos.update(zip(vs, positions))
+            epos = dict(zip(cur.edge_ids, positions))
             for e in incidence[vs[-1]]:
-                if e in used:
-                    q = cur.edge_ids.index(e)
-                    pivots = (q,) if q < ell - 2 else ()
-                else:
-                    edge = edges[e]
-                    pivots = tuple(
-                        q for q in range(ell - 2) if vs[q] in edge
-                    )
+                # an edge on the path may only pivot at its own position;
+                # any other pivots at each of its vertices on the path
+                q = epos.get(e)
+                pivots = (q,) if q is not None else sorted(map(pos_of, edges[e]))
                 for q in pivots:
-                    if budget is not None and closure.rotations_applied >= budget:
+                    if q >= limit:
+                        break
+                    if budget is not None and rotations >= budget:
+                        closure.rotations_applied = rotations
                         closure.budget_exhausted = True
                         return closure
-                    closure.rotations_applied += 1
-                    rotated = _rotated(cur, e, q)
-                    endpoint = rotated.last
-                    if endpoint not in closure.paths:
-                        closure.paths[endpoint] = rotated
-                        if e in used:
-                            nxt.append((rotated, used))
-                        else:
-                            nxt.append(
-                                (rotated, used - {cur.edge_ids[q]} | {e})
-                            )
+                    rotations += 1
+                    # the rotation at q ends at vs[q + 1]: build it only if new
+                    endpoint = vs[q + 1]
+                    if endpoint not in paths:
+                        rotated = _rotated(cur, e, q)
+                        paths[endpoint] = rotated
+                        nxt.append(rotated)
         queue = nxt
+    closure.rotations_applied = rotations
     return closure
 
 

@@ -397,7 +397,9 @@ def absorption_run(
 ) -> Tuple[DecisionOutcome, list]:
     """Extract a sparse subgraph, connect it, then repeatedly absorb edge
     pairs (or single edges) from the host that verifiably lengthen the
-    working path or close a Hamilton cycle; at most n absorption steps.
+    working path or close a Hamilton cycle. Each step that succeeds
+    lengthens the path or makes it a spanning path the next search
+    closes, so at most n - 1 absorption steps succeed.
 
     Returns the decision outcome plus a trace of extraction sizes and every
     absorbed addition.
@@ -424,12 +426,12 @@ def absorption_run(
     )
 
     path = initial_path(gamma)
-    for step in range(G.n + 1):
+    for step in range(G.n):
         cycle, path, stop = _search(gamma, path, tracker)
         if cycle is not None:
             trace.append({"event": "hamiltonian", "step": step})
             return _yes(G, _remap_to_host(G, gamma, cycle), tracker), trace
-        if stop == BUDGET or step == G.n:
+        if stop == BUDGET:
             break
         boosted = _absorb_step(G, gamma, path, tracker, trace, step)
         if boosted is None:

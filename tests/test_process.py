@@ -70,7 +70,7 @@ class TestSubgraphProcess:
     @pytest.mark.parametrize(
         "sigma",
         [
-            (0, 1, 2, 3, 3),  # duplicate id
+            (0, 2, 2, 3, 4),  # duplicate id, ends in range
             (0, 1, 2, 3, 5),  # out-of-range id
             (0, 1, 2, -1, 4),  # negative id
             (0, 1, 2, 3),  # too short
