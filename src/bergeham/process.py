@@ -33,8 +33,8 @@ class SubgraphProcess:
     sigma: tuple
 
     def __post_init__(self):
-        # N distinct integer ids from 0 to N - 1 are exactly 0..N-1; this
-        # costs O(N), where sorting the order would cost O(N log N)
+        # N distinct integer ids from 0 to N - 1 are exactly 0..N-1, which
+        # an O(N) check shows without sorting the order
         sigma, n_edges = self.sigma, self.host.num_edges
         if len(sigma) != n_edges or len(set(sigma)) != n_edges or (
             sigma and (min(sigma) != 0 or max(sigma) != n_edges - 1)

@@ -201,7 +201,7 @@ class TestClosureMatchesReference:
                     _, total, _ = reference_closure(G, path)
                     budgets = {None, 0, 1, 2, 7, total // 3, total // 2}
                     budgets |= {max(total - 1, 0), total}
-                    for budget in sorted(budgets, key=lambda b: -1 if b is None else b):
+                    for budget in budgets:
                         want = reference_closure(G, path, budget)
                         got = endpoint_closure(G, path, budget=budget)
                         assert got.fixed == path.first
@@ -212,18 +212,6 @@ class TestClosureMatchesReference:
                         exhausted += want[2]
         assert compared > 300
         assert exhausted > 100
-
-    def test_budget_equal_to_total_is_not_exhausted(self):
-        H = complete(7, 3)
-        path = greedy_path(H)
-        total = endpoint_closure(H, path).rotations_applied
-        assert total > 0
-        closure = endpoint_closure(H, path, budget=total)
-        assert closure.rotations_applied == total
-        assert not closure.budget_exhausted
-        short = endpoint_closure(H, path, budget=total - 1)
-        assert short.rotations_applied == total - 1
-        assert short.budget_exhausted
 
 
 class TestExtendOrClose:
