@@ -1,6 +1,6 @@
 import pytest
 
-from bergeham.generators import binomial, complete, two_cliques
+from bergeham.generators import binomial, complete, two_cliques, two_cliques_matching
 from bergeham.hypergraph import Hypergraph
 from bergeham.process import (
     NoHitError,
@@ -83,6 +83,58 @@ class TestSubgraphProcess:
         H = Hypergraph(6, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 5)])
         with pytest.raises(ValueError):
             SubgraphProcess(H, sigma)
+
+
+LAZY_HOSTS = {
+    "complete9": complete(9, 3),
+    "matching12": two_cliques_matching(12, seed=2),
+    "binomial10": binomial(10, 3, 0.5, seed=4),
+}
+
+
+class TestLazyOrder:
+    """The order is drawn only as far as it is read; reading it in any
+    order of calls gives the same arrivals."""
+
+    @pytest.mark.parametrize("name", sorted(LAZY_HOSTS))
+    def test_tau2_matches_materialised_order(self, name):
+        H = LAZY_HOSTS[name]
+        for seed in range(20):
+            proc = random_process(H, seed)
+            tau2 = tau_min_degree(proc, 2)
+            assert tau2 == tau_min_degree(SubgraphProcess(H, proc.sigma), 2)
+            assert tau2 == tau_min_degree(random_process(H, seed), 2)
+
+    @pytest.mark.parametrize("sigma_first", [False, True])
+    def test_prefix_edges_are_sigma_prefix(self, sigma_first):
+        H = LAZY_HOSTS["matching12"]
+        N = H.num_edges
+        for seed in range(10):
+            for t in (0, 1, 2, 17, N // 2, N - 1, N):
+                proc = random_process(H, seed)
+                before = proc.sigma if sigma_first else None
+                edges = proc.prefix(t).edges
+                sigma = proc.sigma
+                assert before is None or before == sigma
+                assert sigma == random_process(H, seed).sigma
+                assert list(edges) == [H.edges[e] for e in sigma[:t]]
+
+    def test_prefixes_read_in_any_order_agree(self):
+        H = LAZY_HOSTS["complete9"]
+        sigma = random_process(H, 3).sigma
+        proc = random_process(H, 3)
+        for t in (40, 5, 41, 0, 84, 12):
+            assert list(proc.prefix(t).edges) == [H.edges[e] for e in sigma[:t]]
+
+    @pytest.mark.parametrize("name", sorted(LAZY_HOSTS))
+    def test_sigma_is_permutation_after_partial_reads(self, name):
+        H = LAZY_HOSTS[name]
+        for seed in range(10):
+            proc = random_process(H, seed)
+            tau_min_degree(proc, 2)
+            proc.prefix(seed)
+            assert sorted(proc.sigma) == list(range(H.num_edges))
+            assert isinstance(proc.sigma, tuple)
 
 
 class TestTauMinDegree:

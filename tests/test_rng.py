@@ -1,3 +1,5 @@
+import pytest
+
 from bergeham.rng import MASK64, SplitMix64, derive_seed, mix64
 
 
@@ -56,6 +58,27 @@ def test_choose_subset():
     assert len(picked) == 7
     assert len(set(picked)) == 7
     assert set(picked) <= set(range(30))
+
+
+def pool_swap_choose(rng, items, k):
+    """Reference: a partial Fisher-Yates shuffle of a full copy of items."""
+    pool = list(items)
+    for i in range(k):
+        j = i + rng.below(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 17, 100])
+def test_choose_matches_pool_swap_reference(size):
+    # items differ from their positions, so an index mix-up shows; equal
+    # states afterwards mean both made the same draws
+    items = [3 * x + 1 for x in range(size)]
+    for seed in range(200):
+        for k in sorted({0, 1, 2, size // 2, size - 1, size} & set(range(size + 1))):
+            ours, ref = SplitMix64(seed), SplitMix64(seed)
+            assert ours.choose(items, k) == pool_swap_choose(ref, items, k)
+            assert ours.state == ref.state
 
 
 def test_derive_seed_varies_with_salt():
