@@ -122,11 +122,6 @@ def certify(H: Hypergraph, cert: Union[BergePath, BergeCycle]):
     return cert
 
 
-def certificate_from_json(payload: dict) -> Union[BergePath, BergeCycle]:
-    cls = BergeCycle if payload.get("cycle") else BergePath
-    return cls(tuple(payload["vertices"]), tuple(payload["edge_ids"]))
-
-
 def _rotated(path: BergePath, e: int, pivot: int) -> BergePath:
     """Apply the suffix-reversal at 0-based pivot position; caller has
     already validated eligibility."""
