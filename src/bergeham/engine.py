@@ -157,16 +157,17 @@ def _grow(H: Hypergraph, path: BergePath, budget: _Budget) -> BergePath:
 
 
 def _try_endpoint(
-    H: Hypergraph, cand: BergePath, budget: _Budget
+    H: Hypergraph, cand: BergePath, budget: _Budget, on_path: set
 ) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
     """From a witness, try a one-step win: extend at its tip, or close it
-    with an unused edge through both ends. Returns (cycle, None) when the
-    closed cycle spans, (None, longer path) after an extension or after
-    reopening the cycle, and (None, None) otherwise."""
+    with an unused edge through both ends. ``on_path`` is the witness's
+    vertex set, shared by every witness of one harvest. Returns (cycle,
+    None) when the closed cycle spans, (None, longer path) after an
+    extension or after reopening the cycle, and (None, None) otherwise."""
     used = set(cand.edge_ids)
     longer = None
     if len(cand.vertices) < H.n:
-        longer = extend_at_tip(H, cand, used, set(cand.vertices))
+        longer = extend_at_tip(H, cand, used, on_path)
     if longer is None:
         e = closing_edge(H, cand, used)
         if e is None:
@@ -205,8 +206,9 @@ def _improve(
 ) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
     """``_try_endpoint`` on the first witness of ``path`` that wins, or
     (None, None) when none does."""
+    on_path = set(path.vertices)
     for cand in _witnesses(H, path, budget):
-        cycle, longer = _try_endpoint(H, cand, budget)
+        cycle, longer = _try_endpoint(H, cand, budget, on_path)
         if cycle or longer:
             return cycle, longer
     return None, None
@@ -224,7 +226,7 @@ def _search(
     while True:
         path = _grow(H, path, tracker)
         if len(path) == H.n:
-            cycle, _ = _try_endpoint(H, path, tracker)
+            cycle, _ = _try_endpoint(H, path, tracker, set(path.vertices))
             if cycle is None and not tracker.exhausted:
                 cycle, _ = _improve(H, path, tracker)
             return cycle, path, None if cycle else SPANNING_UNCLOSABLE
@@ -449,17 +451,18 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
     endpoint pairs from rotation closures at both ends. Returns the new
     (gamma, path) or None when nothing improves."""
     target = len(path)
+    on_path = set(path.vertices)
     for witness in list(_witnesses(gamma, path, tracker)):
         s, t = witness.first, witness.last
         cands_t = _booster_candidates(G, gamma, t)
         # single-edge absorption: extend at the tip or close through both ends
         for edge in cands_t:
-            extends = any(v not in witness.vertices for v in edge)
+            extends = any(v not in on_path for v in edge)
             closes = s in edge
             if not (extends or closes):
                 continue
             gamma2 = Hypergraph(G.n, G.r, list(gamma.edges) + [edge])
-            cycle, better = _try_endpoint(gamma2, witness, tracker)
+            cycle, better = _try_endpoint(gamma2, witness, tracker, on_path)
             if cycle is not None:
                 trace.append(_absorb_entry(step, [edge], len(cycle), gamma2))
                 return gamma2, _cycle_as_path(cycle)
