@@ -13,7 +13,8 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .engine import NO, UNKNOWN, YES, decide_hamiltonian
 from .hypergraph import Hypergraph
@@ -25,40 +26,92 @@ class NoHitError(Exception):
     """The property never holds, even with every edge present."""
 
 
-@dataclass(frozen=True)
+def _check_permutation(sigma: tuple, n_edges: int) -> None:
+    # N distinct integer ids from 0 to N - 1 are exactly 0..N-1, which an
+    # O(N) check shows without sorting the order
+    if len(sigma) != n_edges or len(set(sigma)) != n_edges or (
+        sigma and (min(sigma) != 0 or max(sigma) != n_edges - 1)
+    ):
+        raise ValueError("sigma must be a permutation of all edge indices")
+
+
 class SubgraphProcess:
-    """Host plus an arrival order (a permutation of its edge indices)."""
+    """Host plus an arrival order (a permutation of its edge indices).
 
-    host: Hypergraph
-    sigma: tuple
+    The order is given in full, or drawn from an iterator only as far as
+    it is read (``lazy``). Either way every read sees the same order."""
 
-    def __post_init__(self):
-        # N distinct integer ids from 0 to N - 1 are exactly 0..N-1, which
-        # an O(N) check shows without sorting the order
-        sigma, n_edges = self.sigma, self.host.num_edges
-        if len(sigma) != n_edges or len(set(sigma)) != n_edges or (
-            sigma and (min(sigma) != 0 or max(sigma) != n_edges - 1)
-        ):
-            raise ValueError("sigma must be a permutation of all edge indices")
+    __slots__ = ("host", "_order", "_source", "_seen")
+
+    def __init__(self, host: Hypergraph, sigma: Sequence[int]):
+        self.host = host
+        self._order = tuple(sigma)
+        self._source: Optional[Iterator[int]] = None
+        self._seen = None
+        _check_permutation(self._order, host.num_edges)
+
+    @classmethod
+    def lazy(cls, host: Hypergraph, ids: Iterator[int]) -> "SubgraphProcess":
+        """A process whose arrivals are taken from ``ids`` when first read.
+        Each id must be a new one in 0..N-1, and the whole order, once
+        read, must pass the same permutation check as a given one."""
+        proc = cls.__new__(cls)
+        proc.host = host
+        proc._order = []
+        proc._source = ids
+        proc._seen = set()
+        return proc
 
     @property
     def num_steps(self) -> int:
-        return len(self.sigma)
+        return self.host.num_edges
+
+    @property
+    def sigma(self) -> tuple:
+        """The whole order; a lazy one is drawn to the end and kept."""
+        if self._source is not None:
+            self._draw(self.num_steps)
+            order = tuple(self._order)
+            self._order, self._source, self._seen = order, None, None
+            _check_permutation(order, self.num_steps)
+        return self._order
+
+    def _draw(self, t: int) -> None:
+        """Take arrivals from the source until the first t are known."""
+        order, seen, n_edges = self._order, self._seen, self.num_steps
+        if t > len(order):
+            for e in islice(self._source, t - len(order)):
+                if not 0 <= e < n_edges or e in seen:
+                    raise ValueError(
+                        f"arrival {e} is not a new edge index of 0..{n_edges - 1}"
+                    )
+                seen.add(e)
+                order.append(e)
+            if len(order) < t:
+                raise ValueError(f"order ended after {len(order)} of {n_edges} arrivals")
+
+    def arrivals(self) -> Iterator[int]:
+        """Edge indices in arrival order, each drawn when first read."""
+        for t in range(self.num_steps):
+            if t == len(self._order):
+                self._draw(t + 1)
+            yield self._order[t]
 
     def prefix(self, t: int) -> Hypergraph:
         """The graph after t arrivals; edges keep arrival order."""
         if not 0 <= t <= self.num_steps:
             raise ValueError(f"step {t} out of range 0..{self.num_steps}")
-        return self.host.subgraph(self.sigma[:t])
+        if self._source is not None:
+            self._draw(t)
+        return self.host.subgraph(self._order[:t])
 
 
 def random_process(H: Hypergraph, seed: int = 0) -> SubgraphProcess:
-    """Uniform edge ordering via Fisher-Yates under the package PRNG."""
+    """Uniform edge ordering under the package PRNG, drawn lazily by
+    forward Fisher-Yates (``SplitMix64.permutation``)."""
     if H.num_edges < 1:
         raise ValueError("cannot run a process on a host with no edges")
-    ids = list(range(H.num_edges))
-    SplitMix64(seed).shuffle(ids)
-    return SubgraphProcess(H, tuple(ids))
+    return SubgraphProcess.lazy(H, SplitMix64(seed).permutation(H.num_edges))
 
 
 def tau_min_degree(proc: SubgraphProcess, k: int) -> int:
@@ -70,7 +123,7 @@ def tau_min_degree(proc: SubgraphProcess, k: int) -> int:
         raise NoHitError(f"host min degree {host.min_degree()} is below k={k}")
     deg = [0] * host.n
     lacking = host.n
-    for t, e in enumerate(proc.sigma, start=1):
+    for t, e in enumerate(proc.arrivals(), start=1):
         for v in host.edges[e]:
             deg[v] += 1
             if deg[v] == k:

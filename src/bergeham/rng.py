@@ -8,6 +8,9 @@ reproduced from its seed in any language.
 
 from __future__ import annotations
 
+from itertools import islice
+from typing import Iterator, Sequence
+
 MASK64 = (1 << 64) - 1
 
 _INCREMENT = 0x9E3779B97F4A7C15
@@ -63,12 +66,22 @@ class SplitMix64:
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choose(self, items: list, k: int) -> list:
-        """Uniform k-subset of items (order not meaningful)."""
+    def permutation(self, n: int) -> Iterator[int]:
+        """A uniform permutation of range(n), drawn one item per step.
+
+        Forward Fisher-Yates (Durstenfeld 1964) over a virtual pool that
+        starts as the identity: ``swap`` holds only the positions a step
+        has changed, so the first k items cost k draws, whatever n is.
+        """
+        swap: dict = {}
+        for i in range(n):
+            j = i + self.below(n - i)
+            yield swap.get(j, j)
+            swap[j] = swap.pop(i, i)
+
+    def choose(self, items: Sequence, k: int) -> list:
+        """Uniform k-subset of items (order not meaningful): the first k
+        items of ``permutation``."""
         if not 0 <= k <= len(items):
             raise ValueError(f"cannot choose {k} of {len(items)} items")
-        pool = list(items)
-        for i in range(k):
-            j = i + self.below(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        return [items[i] for i in islice(self.permutation(len(items)), k)]

@@ -2,6 +2,7 @@ import pytest
 
 from bergeham.generators import binomial, complete, two_cliques, two_cliques_matching
 from bergeham.hypergraph import Hypergraph
+from bergeham.rng import SplitMix64
 from bergeham.process import (
     NoHitError,
     TrialConfig,
@@ -135,6 +136,75 @@ class TestLazyOrder:
             proc.prefix(seed)
             assert sorted(proc.sigma) == list(range(H.num_edges))
             assert isinstance(proc.sigma, tuple)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The bound of every ``SplitMix64.below`` call, in call order."""
+    log = []
+    below = SplitMix64.below
+
+    def logged_below(rng, bound):
+        log.append(bound)
+        return below(rng, bound)
+
+    monkeypatch.setattr(SplitMix64, "below", logged_below)
+    return log
+
+
+class TestLazyDraws:
+    def test_tau2_trial_draws_one_id_per_arrival_read(self, draws):
+        H = complete(120, 3)
+        N = H.num_edges
+        for seed in range(3):
+            draws.clear()
+            proc = random_process(H, seed)
+            tau2 = tau_min_degree(proc, 2)
+            assert proc.prefix(tau2).num_edges == tau2
+            proc.prefix(tau2 // 2)
+            assert len(draws) == tau2 < N // 100
+        assert len(proc.sigma) == N
+        assert len(draws) == N
+
+    def test_choose_draws_k_ids(self, draws):
+        SplitMix64(1).choose(list(range(10_000)), 5)
+        assert draws == [10_000, 9_999, 9_998, 9_997, 9_996]
+
+    def test_permutation_first_items_are_choose(self):
+        for seed in range(20):
+            for n in (0, 1, 2, 9, 50):
+                perm = list(SplitMix64(seed).permutation(n))
+                assert sorted(perm) == list(range(n))
+                assert SplitMix64(seed).choose(list(range(n)), n // 2) == perm[: n // 2]
+
+    @pytest.mark.parametrize(
+        "ids,steps",
+        [
+            ([0, 1, 1, 2, 3], 3),  # repeated id
+            ([0, 5, 1, 2, 3], 2),  # id too large
+            ([0, -1, 1, 2, 3], 2),  # negative id
+            ([0, 1, 2], 4),  # order ends early
+        ],
+    )
+    def test_lazy_order_rejects_bad_ids_when_read(self, ids, steps):
+        H = Hypergraph(6, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 5)])
+        assert SubgraphProcess.lazy(H, iter(ids)).prefix(steps - 1).num_edges == steps - 1
+        with pytest.raises(ValueError):
+            SubgraphProcess.lazy(H, iter(ids)).prefix(steps)
+        with pytest.raises(ValueError):
+            list(SubgraphProcess.lazy(H, iter(ids)).arrivals())
+        with pytest.raises(ValueError):
+            SubgraphProcess.lazy(H, iter(ids)).sigma
+
+    def test_lazy_order_reads_no_further_than_asked(self):
+        H = complete(5, 3)
+        source = iter(range(H.num_edges))
+        proc = SubgraphProcess.lazy(H, source)
+        proc.prefix(3)
+        assert next(source) == 3
+        assert proc.prefix(3).edges == H.edges[:3]
+        with pytest.raises(ValueError):
+            proc.sigma  # id 3 was taken from the source, so it ends one short
 
 
 class TestTauMinDegree:
