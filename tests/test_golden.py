@@ -83,13 +83,13 @@ CASES = [
     ("absorb", "B16", ["--d0", "1", "--seed", "6"],
      "b4d9bcc763ca3179cce12813618b27663c1748f451d3045f3a453d50d303feee"),
     ("tau", "K10", ["--trials", "6", "--seed", "3"],
-     "562ae82d5bffe2e142d0b538d6bf6a14084ab8889a1c07a5af1bc6436e2713aa"),
+     "0e16e2c8f468d48fd302683bde165fb37286f002a88930038c1326cc12db015f"),
     ("tau", "K30", ["--trials", "4", "--seed", "9"],
-     "c27081200bfc85eb2e55ea334210ce6e96a803c14ee652f80f9a8de80979ae7a"),
+     "3bf553845a910f85276596ccb0e5e267b30121b24ed79839301c8a9436ad5256"),
     ("tau", "TCM24", ["--trials", "8", "--seed", "1", "--budget", "2000", "500"],
-     "5407772f13fce05f415688cbf8b7f48a21f0c2796b079c929f0331004c015773"),
+     "47b8bdad306ba3550d454e0dedd5b90b8cb9c65927ea2c7bb102a53ced63d355"),
     ("tau", "B16", ["--trials", "3", "--seed", "2", "--full-tau-bh"],
-     "fc3043255a1bb8413a4683297242c53b9f687f6896a2979fd8c287e1cb7cee31"),
+     "68841e100cba0b4e9decd42b4257d01680c8aada2cf66c21279da95d4b58ca13"),
     ("rotate-trace", "K10", [],
      "781df8d480882bc7b78f5c62706811c4de92aa501b1adc2b316c5b587f1561fb"),
     ("rotate-trace", "TCM24", ["--budget", "25"],
