@@ -1,7 +1,7 @@
 """Random subgraph processes, hitting times, and the trial harness.
 
-A process is an ordering of the host's edges; the prefix graph at step t
-keeps the first t. Hitting times are computed by a forward degree scan
+A process is an ordering of the host's edges, drawn only as far as it is
+read; the prefix graph at step t keeps the first t. Hitting times are computed by a forward degree scan
 (minimum degree) or by search over t with monotone predicates (binary or
 linear), where probes may be exact or one-sided.
 """
