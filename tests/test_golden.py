@@ -10,7 +10,9 @@ directly, after rotations at its tip, and after rotations at both ends;
 a spanning path that cannot be closed; a budget that runs out before a
 closure, between closures and inside an absorption step; a stuck search
 and restarts that run out; the oracle fallback saying yes and no; and
-single-edge and pair absorption that lengthen the path or close it.
+single-edge and pair absorption that lengthen the path or close it, and
+a pair scan (TCM36) that tests thousands of candidate pairs before one
+closes, or runs out of budget among them.
 Budgets include 0 and small values that run out mid-search.
 """
 
@@ -24,6 +26,7 @@ HOSTS = {
     "K10": ["--family", "complete", "--n", "10"],
     "K30": ["--family", "complete", "--n", "30"],
     "TCM24": ["--family", "two_cliques_matching", "--n", "24", "--seed", "1"],
+    "TCM36": ["--family", "two_cliques_matching", "--n", "36", "--seed", "1"],
     "B9": ["--family", "binomial", "--n", "9", "--p", "0.08", "--seed", "0"],
     "B12": ["--family", "binomial", "--n", "12", "--p", "0.06", "--seed", "6"],
     "B13": ["--family", "binomial", "--n", "13", "--p", "0.08", "--seed", "0"],
@@ -66,6 +69,10 @@ CASES = [
      "d8590320ba48b00476c2ba510bbae787d202e7561d7c332afc76dbcf18cc0abc"),
     ("absorb", "TCM24", ["--budget", "0"],
      "4a6364e4037cbcf808d4964154fd302c3691be3f80269f58d3de6a23297760a7"),
+    ("absorb", "TCM36", ["--seed", "9494955178128197401"],
+     "77a7de7572e3d35cdd631a25ff79a9dde525a5871b30e07f2b9dd3019ae3deea"),
+    ("absorb", "TCM36", ["--seed", "9494955178128197401", "--budget", "15000"],
+     "23a8480904dd0f735725dfb036bc54c5b0436ae70ef65ec88673f6eecf58b104"),
     ("absorb", "B12", ["--seed", "6"],
      "2d42063ee3b620f86898cf430611c1ebd299cbe864235ca4bd53fba5723b26aa"),
     ("absorb", "B12", ["--seed", "6", "--budget", "10"],
