@@ -1,16 +1,25 @@
 import pytest
 
+from bergeham import engine
 from bergeham.berge import verify_cycle
 from bergeham.engine import (
+    DEFAULT_BUDGET,
+    _absorb_entry,
+    _booster_candidates,
+    _cycle_as_path,
+    _pair_boost,
+    _try_endpoint,
+    _witnesses,
     absorption_run,
     connect_components,
     decide_hamiltonian,
     default_d0,
     extract_expander,
 )
-from bergeham.generators import binomial, complete, two_cliques
+from bergeham.generators import binomial, complete, two_cliques, two_cliques_matching
 from bergeham.hypergraph import Hypergraph
 from bergeham.oracle import exact_hamiltonian
+from bergeham.rng import derive_seed
 
 
 class TestDecideHamiltonian:
@@ -201,3 +210,143 @@ class TestHigherUniformity:
         H = complete(6, 4)
         cert = exact_hamiltonian(H)
         assert cert is not None and len(cert) == 6
+
+
+def reference_absorb_step(G, gamma, path, tracker, trace, step):
+    """Find host edges outside gamma that improve the stuck path, scanning
+    endpoint pairs from rotation closures at both ends. Returns the new
+    (gamma, path) or None when nothing improves."""
+    target = len(path)
+    on_path = set(path.vertices)
+    for witness in list(_witnesses(gamma, path, tracker)):
+        s, t = witness.first, witness.last
+        cands_t = _booster_candidates(G, gamma, t)
+        # single-edge absorption: extend at the tip or close through both ends
+        for edge in cands_t:
+            extends = any(v not in on_path for v in edge)
+            closes = s in edge
+            if not (extends or closes):
+                continue
+            gamma2 = Hypergraph(G.n, G.r, list(gamma.edges) + [edge])
+            cycle, better = _try_endpoint(gamma2, witness, tracker, on_path)
+            if cycle is not None:
+                trace.append(_absorb_entry(step, [edge], len(cycle), gamma2))
+                return gamma2, _cycle_as_path(cycle)
+            if better is not None and len(better) > target:
+                trace.append(_absorb_entry(step, [edge], len(better), gamma2))
+                return gamma2, better
+        # paired absorption: one edge at each endpoint, covering a
+        # consecutive path pair so the path closes into a cycle
+        cands_s = _booster_candidates(G, gamma, s)
+        vs = witness.vertices
+        for e_s in cands_s:
+            if tracker.exhausted:
+                return None
+            hits_s = set(e_s)
+            if not any(vs[j + 1] in hits_s for j in range(len(vs) - 1)):
+                continue
+            for e_t in cands_t:
+                if e_t == e_s:
+                    continue
+                gamma2 = Hypergraph(
+                    G.n, G.r, list(gamma.edges) + [e_s, e_t]
+                )
+                cycle, better = _pair_boost(
+                    gamma2, witness.vertices, witness.edge_ids, G.n
+                )
+                tracker.extensions += 1
+                if cycle is not None:
+                    trace.append(_absorb_entry(step, [e_s, e_t], len(cycle), gamma2))
+                    return gamma2, _cycle_as_path(cycle)
+                if better is not None and len(better) > target:
+                    trace.append(_absorb_entry(step, [e_s, e_t], len(better), gamma2))
+                    return gamma2, better
+    return None
+
+
+class TestAbsorbStepMatchesReference:
+    """``absorption_run`` against itself with ``reference_absorb_step``, a
+    copy of the absorption step that builds gamma plus both edges for
+    every candidate pair: the same outcome JSON (verdict, certificate,
+    effort counts) and the same trace. Besides the default budget, each
+    run is repeated with a budget that runs out in its closures and with
+    budgets that run out among the candidate pairs of its steps."""
+
+    def setup_method(self):
+        self.compared = self.ran_out_in_pairs = self.pair_absorptions = 0
+
+    def _reference(self, G, gamma, path, tracker, trace, step):
+        extensions = tracker.extensions
+        result = reference_absorb_step(G, gamma, path, tracker, trace, step)
+        # a single edge counts an extension only when it wins, so every
+        # other extension a step counts is a candidate pair it tested
+        pairs = tracker.extensions - extensions - (
+            result is not None and trace[-1]["arity"] == 1
+        )
+        if pairs:
+            self.pair_spans.append((tracker.used - pairs, tracker.used))
+            if result is None and tracker.exhausted:
+                self.ran_out_in_pairs += 1
+        return result
+
+    def _compare(self, G, d0, seed, budget):
+        """Compares one run; returns the budget used by the reference and
+        the (first, last) budget use of each step's candidate pairs."""
+        got_outcome, got_trace = absorption_run(G, d0=d0, budget=budget, seed=seed)
+        self.pair_spans = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_absorb_step", self._reference)
+            want_outcome, want_trace = absorption_run(
+                G, d0=d0, budget=budget, seed=seed
+            )
+        assert got_outcome.to_json() == want_outcome.to_json()
+        assert got_trace == want_trace
+        self.compared += 1
+        self.pair_absorptions += sum(
+            t["event"] == "absorb" and t["arity"] == 2 for t in want_trace
+        )
+        effort = want_outcome.effort
+        return effort["rotations"] + effort["extensions"], self.pair_spans
+
+    def _compare_budgets(self, G, d0, seed):
+        used, spans = self._compare(G, d0, seed, DEFAULT_BUDGET)
+        budgets = {used // 2}
+        for first, last in spans[:3]:
+            if last - first > 1:
+                budgets |= {(first + last) // 2, last - 1}
+        for budget in sorted(budgets):
+            if budget > 0:
+                self._compare(G, d0, seed, budget)
+
+    def test_small_hosts(self):
+        hosts = [two_cliques_matching(24, seed=1), complete(12, 3)]
+        for n in range(12, 17):
+            for p in (0.1, 0.2):
+                found = [binomial(n, 3, p, seed=s) for s in range(12)]
+                hosts += [H for H in found if H.is_connected][:2]
+        for G in hosts:
+            for d0 in (1, 2, 4):
+                for seed in range(4):
+                    self._compare_budgets(G, d0, seed)
+        assert self.compared > 500
+        assert self.pair_absorptions > 40
+        assert self.ran_out_in_pairs > 10
+
+    def test_two_cliques_matching_36(self):
+        G = two_cliques_matching(36, seed=1)
+        for d0 in (1, 2, 4):
+            for seed in range(3):
+                self._compare_budgets(G, d0, seed)
+        # absorb-trap seeds whose one absorption tests hundreds of pairs
+        for i in (3, 10, 14):
+            self._compare_budgets(G, None, derive_seed(0xAB50, i))
+        assert self.pair_absorptions > 5
+        assert self.ran_out_in_pairs > 8
+
+    def test_long_pair_scan(self):
+        # 16,915 candidate pairs before one closes; 15,000 runs out among them
+        G = two_cliques_matching(36, seed=1)
+        seed = derive_seed(0xAB50, 38)
+        for budget in (DEFAULT_BUDGET, 15_000):
+            self._compare(G, None, seed, budget)
+        assert self.ran_out_in_pairs == 1
