@@ -15,7 +15,9 @@ is one-sided: "yes" always ships a certificate checked in ``_yes``, while
 "no" only comes from disconnection or the exact oracle.
 ``absorption_run`` runs the core once per step on a sparse extracted
 subgraph, and between steps adds pairs (or single edges) from the host
-that verifiably lengthen the path or close a spanning cycle.
+that verifiably lengthen the path or close a spanning cycle. A candidate
+pair is decided by its pivot sets, the path positions its two edges can
+close at, without building a graph; only the pair that wins is built.
 """
 
 from __future__ import annotations
@@ -449,7 +451,13 @@ def absorption_run(
 def _absorb_step(G, gamma, path, tracker, trace, step):
     """Find host edges outside gamma that improve the stuck path, scanning
     endpoint pairs from rotation closures at both ends. Returns the new
-    (gamma, path) or None when nothing improves."""
+    (gamma, path) or None when nothing improves.
+
+    A pair (e_s, e_t) closes a witness v_0..v_(l-1) into a cycle exactly
+    when some pivot j has v_(j+1) in e_s and v_j in e_t, so each pair is
+    decided by whether its two pivot sets meet, and gamma plus the pair
+    is built only for the pair that wins. Every pair tested counts as an
+    extension."""
     target = len(path)
     on_path = set(path.vertices)
     for witness in list(_witnesses(gamma, path, tracker)):
@@ -472,23 +480,25 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
         # paired absorption: one edge at each endpoint, covering a
         # consecutive path pair so the path closes into a cycle
         cands_s = _booster_candidates(G, gamma, s)
-        vs = witness.vertices
+        pos = {v: j for j, v in enumerate(witness.vertices)}
+        pivots_t = [{pos[v] for v in e_t if v in pos} for e_t in cands_t]
         for e_s in cands_s:
             if tracker.exhausted:
                 return None
-            hits_s = set(e_s)
-            if not any(vs[j + 1] in hits_s for j in range(len(vs) - 1)):
+            pivots_s = {pos[v] - 1 for v in e_s if v in pos}
+            pivots_s.discard(-1)  # e_s holds s = v_0, which follows no pivot
+            if not pivots_s:
                 continue
-            for e_t in cands_t:
+            for e_t, pivots in zip(cands_t, pivots_t):
                 if e_t == e_s:
                     continue
-                gamma2 = Hypergraph(
-                    G.n, G.r, list(gamma.edges) + [e_s, e_t]
-                )
+                tracker.extensions += 1
+                if pivots_s.isdisjoint(pivots):
+                    continue
+                gamma2 = Hypergraph(G.n, G.r, list(gamma.edges) + [e_s, e_t])
                 cycle, better = _pair_boost(
                     gamma2, witness.vertices, witness.edge_ids, G.n
                 )
-                tracker.extensions += 1
                 if cycle is not None:
                     trace.append(_absorb_entry(step, [e_s, e_t], len(cycle), gamma2))
                     return gamma2, _cycle_as_path(cycle)

@@ -350,3 +350,27 @@ class TestAbsorbStepMatchesReference:
         for budget in (DEFAULT_BUDGET, 15_000):
             self._compare(G, None, seed, budget)
         assert self.ran_out_in_pairs == 1
+
+
+def test_absorption_builds_only_what_it_keeps(monkeypatch):
+    """On the absorb-trap host and seeds, absorption_run builds one graph
+    per edge that connects the extracted subgraph and one per absorption
+    it keeps; a candidate pair that cannot close builds nothing."""
+    builds = []
+
+    class CountingHypergraph(Hypergraph):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "Hypergraph", CountingHypergraph)
+    G = two_cliques_matching(36, seed=1)
+    pair_absorptions = 0
+    for i in range(60):
+        builds.clear()
+        outcome, trace = absorption_run(G, seed=derive_seed(0xAB50, i))
+        absorbed = [t for t in trace if t["event"] == "absorb"]
+        assert outcome.verdict == "yes"
+        assert len(builds) == len(trace[0]["connect_added"]) + len(absorbed)
+        pair_absorptions += sum(t["arity"] == 2 for t in absorbed)
+    assert pair_absorptions > 40
