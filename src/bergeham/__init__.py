@@ -7,8 +7,6 @@ from .berge import (
     BergePath,
     RotationClosure,
     endpoint_closure,
-    extend_or_close,
-    rotate,
     verify_cycle,
     verify_path,
 )
@@ -103,14 +101,12 @@ __all__ = [
     "exact_hamiltonian",
     "exact_is_booster",
     "exact_longest_path",
-    "extend_or_close",
     "extract_expander",
     "greedy_path",
     "is_expander",
     "parse",
     "property_report",
     "random_process",
-    "rotate",
     "run_trials",
     "serialize",
     "shifted_thresholds",

@@ -3,12 +3,12 @@ import pytest
 from bergeham.berge import (
     BergeCycle,
     BergePath,
+    _rotated,
     close_with,
+    closing_edge,
     endpoint_closure,
-    extend_or_close,
+    extend_at_tip,
     reopen_cycle,
-    rotate,
-    rotation_pivots,
     verify_cycle,
     verify_path,
 )
@@ -146,6 +146,51 @@ class TestEndpointClosure:
         H = host_with([(0, 1, 2)])
         with pytest.raises(ValueError):
             endpoint_closure(H, BergePath((0, 3), (0,)))
+
+
+def rotation_pivots(H: Hypergraph, path: BergePath, e: int) -> list:
+    """Eligible 0-based pivot positions for rotating with edge e, which
+    must contain the path's last vertex.
+
+    If e is already on the path its own position is the only candidate
+    (any other would use it twice). The position just before the endpoint
+    is degenerate (the endpoint would not change) and is excluded.
+    """
+    vs = path.vertices
+    ell = len(vs)
+    if path.last not in H.edges[e]:
+        raise ValueError(f"edge {e} does not contain the endpoint {path.last}")
+    if ell < 3:
+        return []
+    if e in path.edge_ids:
+        q = path.edge_ids.index(e)
+        return [q] if q < ell - 2 else []
+    edge = H.edges[e]
+    return [q for q in range(ell - 2) if vs[q] in edge]
+
+
+def rotate(H: Hypergraph, path: BergePath, e: int, pivot=None):
+    """Single rotation with edge e at the given (or first eligible) pivot;
+    None when no eligible pivot exists."""
+    pivots = rotation_pivots(H, path, e)
+    if pivot is None:
+        return _rotated(path, e, pivots[0]) if pivots else None
+    return _rotated(path, e, pivot) if pivot in pivots else None
+
+
+def extend_or_close(H: Hypergraph, path: BergePath):
+    """One growth step at the endpoint: prefer extending by a new vertex
+    through an unused edge; otherwise close into a cycle on the path's
+    vertex set via an unused edge containing both endpoints; None when
+    stuck."""
+    if not verify_path(H, path):
+        raise ValueError("extend_or_close requires a valid Berge path")
+    used = set(path.edge_ids)
+    longer = extend_at_tip(H, path, used, set(path.vertices))
+    if longer is not None:
+        return longer
+    e = closing_edge(H, path, used)
+    return None if e is None else close_with(path, e)
 
 
 def reference_closure(H, path, budget=None):

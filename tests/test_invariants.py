@@ -75,7 +75,8 @@ def test_codegree_condition_holds_above_direct_threshold():
 
 
 def test_greedy_path_is_stuck_and_valid():
-    from bergeham.berge import BergeCycle, extend_or_close, verify_path
+    from bergeham.berge import BergeCycle, verify_path
+    from test_berge import extend_or_close
 
     for seed in range(5):
         H = binomial(12, 3, 0.2, seed=seed)
