@@ -212,6 +212,9 @@ class TestHigherUniformity:
         assert cert is not None and len(cert) == 6
 
 
+# The absorption step before candidate pairs were decided by their pivot
+# sets, kept verbatim as the reference: it builds gamma plus both edges
+# for every candidate pair and lets _pair_boost judge it.
 def reference_absorb_step(G, gamma, path, tracker, trace, step):
     """Find host edges outside gamma that improve the stuck path, scanning
     endpoint pairs from rotation closures at both ends. Returns the new
