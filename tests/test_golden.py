@@ -12,7 +12,8 @@ closure, between closures and inside an absorption step; a stuck search
 and restarts that run out; the oracle fallback saying yes and no; and
 single-edge and pair absorption that lengthen the path or close it, and
 a pair scan (TCM36) that tests thousands of candidate pairs before one
-closes, or runs out of budget among them.
+closes, or runs out of budget among them; and τ₂ prefixes (TCM36) whose
+one matching triple is a bridge, so that no search can close them.
 Budgets include 0 and small values that run out mid-search.
 """
 
@@ -95,6 +96,8 @@ CASES = [
      "3bf553845a910f85276596ccb0e5e267b30121b24ed79839301c8a9436ad5256"),
     ("tau", "TCM24", ["--trials", "8", "--seed", "1", "--budget", "2000", "500"],
      "47b8bdad306ba3550d454e0dedd5b90b8cb9c65927ea2c7bb102a53ced63d355"),
+    ("tau", "TCM36", ["--trials", "12", "--seed", "1"],
+     "3eb892b56c91b3d5de8509fa4ff73a08345f73686ae1a5aede879ea1fb7780f8"),
     ("tau", "B16", ["--trials", "3", "--seed", "2", "--full-tau-bh"],
      "68841e100cba0b4e9decd42b4257d01680c8aada2cf66c21279da95d4b58ca13"),
     ("rotate-trace", "K10", [],
