@@ -258,3 +258,145 @@ def reopen_cycle(H: Hypergraph, cycle: BergeCycle) -> Optional[BergePath]:
         es = cycle.edge_ids[j + 1 :] + cycle.edge_ids[:j]
         return BergePath(vs + (w,), es + (e,))
     return None
+
+
+# -- obstructions ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Obstruction:
+    """A reason why a host on n >= 3 vertices has no Berge Hamilton cycle.
+
+    - ``twin``: ``vertices`` are two degree-2 vertices with the same two
+      edges. Each must use both, and two vertices of a cycle on n >= 3
+      vertices never share both of their cycle edges.
+    - ``overload``: ``vertices`` are three degree-2 vertices of ``edge``.
+      Each must use that edge, which serves two consecutive vertices only.
+    - ``bridge``: every edge but ``edge`` lies inside ``side`` or outside
+      it. A cycle through every vertex crosses that cut at least twice,
+      through distinct edges.
+    """
+
+    kind: str
+    edge: Optional[int] = None
+    vertices: tuple = ()
+    side: tuple = ()
+
+
+def obstruction(H: Hypergraph) -> Optional[Obstruction]:
+    """A twin, overload or bridge obstruction of the connected host H, or
+    None when it has none of them. Deterministic: the first twin pair in
+    vertex order, else the lowest-id overloaded edge, else the lowest-id
+    bridge. The twin and overload checks take O(n), the bridge search
+    O(n + m)."""
+    if H.n < 3 or not H.is_connected:
+        raise ValueError("obstruction needs a connected host on at least 3 vertices")
+    twins: dict = {}  # edge pair -> the degree-2 vertex that has it
+    held: dict = {}  # edge id -> its degree-2 vertices, in vertex order
+    for v, inc in enumerate(H.incidence):
+        if len(inc) == 2:
+            if inc in twins:
+                return Obstruction("twin", vertices=(twins[inc], v))
+            twins[inc] = v
+            for e in inc:
+                held.setdefault(e, []).append(v)
+    for e in sorted(held):
+        if len(held[e]) >= 3:
+            return Obstruction("overload", edge=e, vertices=tuple(held[e][:3]))
+    sides = _bridge_sides(H)
+    if sides:
+        e = min(sides)
+        return Obstruction("bridge", edge=e, side=sides[e])
+    return None
+
+
+def _bridge_sides(H: Hypergraph) -> dict:
+    """Every bridge of the connected host H, mapped to one side of its cut.
+
+    An edge is a bridge when its node is a cut vertex of the vertex-edge
+    incidence graph, whose nodes are the vertices 0..n-1 and the edges
+    n..n+m-1. One iterative lowpoint DFS from vertex 0 finds them all
+    (Hopcroft-Tarjan): an edge node x cuts off the subtree of a child c
+    with low[c] >= disc[x], whose vertices are the side given."""
+    n, edges, incidence = H.n, H.edges, H.incidence
+    total = n + len(edges)
+    disc = [0] * total  # DFS discovery time from 1; 0 while unseen
+    low = [0] * total
+    last = [0] * total  # latest discovery time in the node's subtree
+    cut: dict = {}  # edge id -> the child whose subtree it cuts off
+    clock = disc[0] = low[0] = 1
+    stack = [(0, -1, iter([n + e for e in incidence[0]]))]
+    while stack:
+        x, parent, neighbours = stack[-1]
+        for y in neighbours:
+            if y == parent:
+                continue
+            if disc[y]:
+                if disc[y] < low[x]:
+                    low[x] = disc[y]
+            else:
+                clock += 1
+                disc[y] = low[y] = clock
+                if y < n:
+                    stack.append((y, x, iter([n + e for e in incidence[y]])))
+                else:
+                    stack.append((y, x, iter(edges[y - n])))
+                break
+        else:
+            stack.pop()
+            last[x] = clock
+            if parent >= 0:
+                if low[x] < low[parent]:
+                    low[parent] = low[x]
+                if parent >= n and low[x] >= disc[parent]:
+                    cut.setdefault(parent - n, x)
+    return {
+        e: tuple(v for v in range(n) if disc[c] <= disc[v] <= last[c])
+        for e, c in cut.items()
+    }
+
+
+def certify_obstruction(H: Hypergraph, cert: Obstruction) -> Obstruction:
+    """Return ``cert`` when it proves that H has no Berge Hamilton cycle;
+    raise CertificateError otherwise. Shares no code with ``obstruction``
+    and is an explicit check, so that it also runs under ``python -O``."""
+    n, edges = H.n, H.edges
+
+    def refuse(why: str):
+        raise CertificateError(f"obstruction fails verification ({why}): {cert!r}")
+
+    def edge_set(v) -> set:
+        if not 0 <= v < n:
+            refuse(f"vertex {v} out of range")
+        return {i for i, edge in enumerate(edges) if v in edge}
+
+    if n < 3:
+        refuse("fewer than 3 vertices")
+    if cert.kind == "twin":
+        if len(cert.vertices) != 2 or cert.vertices[0] == cert.vertices[1]:
+            refuse("a twin is two distinct vertices")
+        first, second = (edge_set(v) for v in cert.vertices)
+        if len(first) != 2 or first != second:
+            refuse("the twins do not have the same two edges")
+    elif cert.kind == "overload":
+        if cert.edge is None or not 0 <= cert.edge < len(edges):
+            refuse("no such edge")
+        if len(set(cert.vertices)) != 3 or len(cert.vertices) != 3:
+            refuse("an overload is three distinct vertices")
+        for v in cert.vertices:
+            if v not in edges[cert.edge] or len(edge_set(v)) != 2:
+                refuse(f"vertex {v} is not a degree-2 vertex of the edge")
+    elif cert.kind == "bridge":
+        if cert.edge is None or not 0 <= cert.edge < len(edges):
+            refuse("no such edge")
+        side = set(cert.side)
+        if len(side) != len(cert.side) or not side <= set(range(n)):
+            refuse("the side is not a set of vertices")
+        if not 0 < len(side) < n:
+            refuse("the side is empty or everything")
+        for i, edge in enumerate(edges):
+            if i != cert.edge and 0 < len(side.intersection(edge)) < len(edge):
+                refuse(f"edge {i} crosses the cut too")
+    else:
+        refuse("unknown kind")
+    return cert

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
+from .berge import certify_obstruction, obstruction
 from .engine import NO, UNKNOWN, YES, decide_hamiltonian
 from .hypergraph import Hypergraph
 from .oracle import DEFAULT_GUARD, OracleGuard, exact_hamiltonian
@@ -173,20 +174,31 @@ def hamiltonicity_probe(
     use_oracle: bool = True,
 ) -> Probe:
     """One-sided Berge-Hamiltonicity probe: rotation engine with escalating
-    budgets, then the exact oracle when the prefix fits the guard."""
+    budgets, then the exact oracle when the prefix fits the guard.
+
+    The rounds are skipped on a connected prefix with a certified twin,
+    overload or bridge obstruction (``berge.obstruction``). No round could
+    end there: the engine says yes only with a verified Hamilton cycle,
+    which the obstruction rules out, and no only on a disconnected host.
+    So every verdict and provenance is the one the rounds would give.
+    """
 
     def probe(graph: Hypergraph, t: int) -> Tuple[str, str]:
         if graph.n < 3 or graph.num_edges < graph.n:
             return NO, "exact"
-        for round_no, budget in enumerate(budgets):
-            outcome = decide_hamiltonian(
-                graph,
-                budget=budget,
-                seed=derive_seed(seed, t, round_no),
-                fallback=False,
-            )
-            if outcome.verdict != UNKNOWN:
-                return outcome.verdict, outcome.provenance
+        blocker = obstruction(graph) if graph.is_connected else None
+        if blocker is not None:
+            certify_obstruction(graph, blocker)
+        else:
+            for round_no, budget in enumerate(budgets):
+                outcome = decide_hamiltonian(
+                    graph,
+                    budget=budget,
+                    seed=derive_seed(seed, t, round_no),
+                    fallback=False,
+                )
+                if outcome.verdict != UNKNOWN:
+                    return outcome.verdict, outcome.provenance
         if use_oracle and graph.n <= guard.max_n and graph.num_edges <= guard.max_edges:
             cert = exact_hamiltonian(graph, guard)
             return (YES if cert is not None else NO), "oracle"
@@ -349,7 +361,13 @@ def run_trials(
     H: Hypergraph, trials: int, seed_base: int, config: TrialConfig = TrialConfig()
 ) -> Tuple[list, dict]:
     """Independent trials (trial i uses seed_base XOR i) plus a summary
-    that depends only on the record multiset, never on worker count."""
+    that depends only on the record multiset, never on worker count.
+
+    With ``jobs > 1`` the trials run in a pool of worker processes started
+    by ``fork``, which POSIX systems have and Windows lacks: each worker
+    inherits the host and config from this process rather than receiving
+    a pickled copy. A trial depends on its index alone, so the records and
+    the summary are byte-identical for every ``jobs``."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     jobs = max(1, config.jobs)

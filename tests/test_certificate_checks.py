@@ -2,8 +2,9 @@
 
 ``-O`` strips ``assert`` statements, so a certificate check written as an
 assert would let a corrupted certificate through. The child process below
-runs under ``-O``, corrupts each kind of certificate the package builds
-and reports whether the package refused it.
+runs under ``-O``, corrupts each kind of certificate the package builds,
+Hamilton cycles and paths as well as the obstructions on which the τ₂
+probe skips its search, and reports whether the package refused it.
 """
 
 import subprocess
@@ -11,9 +12,10 @@ import sys
 
 CHILD = r"""
 import sys
-from bergeham import engine, oracle
-from bergeham.berge import BergeCycle, BergePath, CertificateError, close_with
+from bergeham import engine, oracle, process
+from bergeham.berge import BergeCycle, BergePath, CertificateError, Obstruction, close_with
 from bergeham.generators import complete
+from bergeham.hypergraph import Hypergraph
 
 print("optimize", sys.flags.optimize)
 
@@ -41,6 +43,15 @@ def short_cycle_search(H, path, tracker):
     return cycle, path, None
 
 
+# 0 and 2 have degree 2, with edges {0, 1} and {0, 3}; 1 has degree 3
+SMALL = Hypergraph(6, 3, [(0, 1, 2), (0, 3, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5), (1, 3, 5)])
+
+
+def wrong_obstruction(cert):
+    # The probe skips its search only on an obstruction it has checked.
+    return lambda H: cert
+
+
 cases = [
     ("decide", engine, "close_with", spanning_closures_corrupted(10),
      lambda: engine.decide_hamiltonian(complete(10, 3))),
@@ -54,6 +65,15 @@ cases = [
     ("oracle-path", oracle, "BergePath",
      lambda vs, es: BergePath(vs, repeat_first_edge(es)),
      lambda: oracle.exact_longest_path(complete(6, 3))),
+    ("bridge-crossed", process, "obstruction",
+     wrong_obstruction(Obstruction("bridge", edge=0, side=(0, 1, 2))),
+     lambda: process.hamiltonicity_probe()(SMALL, 6)),
+    ("overload-degree-3", process, "obstruction",
+     wrong_obstruction(Obstruction("overload", edge=0, vertices=(0, 1, 2))),
+     lambda: process.hamiltonicity_probe()(SMALL, 6)),
+    ("twin-edges-differ", process, "obstruction",
+     wrong_obstruction(Obstruction("twin", vertices=(0, 2))),
+     lambda: process.hamiltonicity_probe()(SMALL, 6)),
 ]
 for name, module, attr, corrupted, run in cases:
     original = getattr(module, attr)
@@ -86,4 +106,7 @@ def test_corrupted_certificates_raise_under_O(cli_env, tmp_path):
         "decide-short-cycle refused",
         "oracle-cycle refused",
         "oracle-path refused",
+        "bridge-crossed refused",
+        "overload-degree-3 refused",
+        "twin-edges-differ refused",
     ]

@@ -118,3 +118,46 @@ def test_full_tau_bh_search():
         expected = tau_property(random_process(H, seed), reference, "binary")
         got = tau_property(random_process(H, seed), package, "binary")
         assert got.to_json() == expected.to_json()
+
+
+@pytest.fixture
+def decide_calls(monkeypatch):
+    """Counts the probe's calls of ``decide_hamiltonian``."""
+    from bergeham import process
+
+    calls = []
+
+    def counting_decide(*args, **kwargs):
+        calls.append(1)
+        return decide_hamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(process, "decide_hamiltonian", counting_decide)
+    return calls
+
+
+def test_no_search_on_a_bridged_prefix(decide_calls):
+    # trial 0: the τ₂ prefix is connected and its one matching triple is
+    # a bridge, so no round of search can close a Hamilton cycle
+    seed = 0xACCE07
+    graph, tau2 = tau2_prefix(two_cliques_matching(36, seed=1), seed)
+    assert graph.is_connected
+    assert probes(seed)[1](graph, tau2) == (UNKNOWN, "rotation")
+    assert decide_calls == []
+
+
+def test_search_runs_exactly_where_no_obstruction(decide_calls):
+    from bergeham.berge import obstruction
+
+    H = two_cliques_matching(36, seed=1)
+    kinds = []
+    for i in range(24):
+        seed = 0xACCE07 ^ i
+        graph, tau2 = tau2_prefix(H, seed)
+        if not graph.is_connected:
+            continue
+        blocker = obstruction(graph)
+        kinds.append(blocker.kind if blocker else None)
+        del decide_calls[:]
+        probes(seed)[1](graph, tau2)
+        assert bool(decide_calls) == (blocker is None), i
+    assert "bridge" in kinds and None in kinds
