@@ -318,14 +318,15 @@ def _bridge_sides(H: Hypergraph) -> dict:
     n..n+m-1. One iterative lowpoint DFS from vertex 0 finds them all
     (Hopcroft-Tarjan): an edge node x cuts off the subtree of a child c
     with low[c] >= disc[x], whose vertices are the side given."""
-    n, edges, incidence = H.n, H.edges, H.incidence
-    total = n + len(edges)
+    n = H.n
+    adjacent = [[n + e for e in inc] for inc in H.incidence] + list(H.edges)
+    total = len(adjacent)
     disc = [0] * total  # DFS discovery time from 1; 0 while unseen
     low = [0] * total
     last = [0] * total  # latest discovery time in the node's subtree
     cut: dict = {}  # edge id -> the child whose subtree it cuts off
     clock = disc[0] = low[0] = 1
-    stack = [(0, -1, iter([n + e for e in incidence[0]]))]
+    stack = [(0, -1, iter(adjacent[0]))]
     while stack:
         x, parent, neighbours = stack[-1]
         for y in neighbours:
@@ -337,10 +338,7 @@ def _bridge_sides(H: Hypergraph) -> dict:
             else:
                 clock += 1
                 disc[y] = low[y] = clock
-                if y < n:
-                    stack.append((y, x, iter([n + e for e in incidence[y]])))
-                else:
-                    stack.append((y, x, iter(edges[y - n])))
+                stack.append((y, x, iter(adjacent[y])))
                 break
         else:
             stack.pop()
@@ -360,43 +358,39 @@ def certify_obstruction(H: Hypergraph, cert: Obstruction) -> Obstruction:
     """Return ``cert`` when it proves that H has no Berge Hamilton cycle;
     raise CertificateError otherwise. Shares no code with ``obstruction``
     and is an explicit check, so that it also runs under ``python -O``."""
-    n, edges = H.n, H.edges
+    n, edges, vs = H.n, H.edges, cert.vertices
 
-    def refuse(why: str):
-        raise CertificateError(f"obstruction fails verification ({why}): {cert!r}")
-
-    def edge_set(v) -> set:
-        if not 0 <= v < n:
-            refuse(f"vertex {v} out of range")
+    def edge_ids(v) -> set:
         return {i for i, edge in enumerate(edges) if v in edge}
 
-    if n < 3:
-        refuse("fewer than 3 vertices")
+    has_edge = isinstance(cert.edge, int) and 0 <= cert.edge < len(edges)
     if cert.kind == "twin":
-        if len(cert.vertices) != 2 or cert.vertices[0] == cert.vertices[1]:
-            refuse("a twin is two distinct vertices")
-        first, second = (edge_set(v) for v in cert.vertices)
-        if len(first) != 2 or first != second:
-            refuse("the twins do not have the same two edges")
+        valid = (
+            len(vs) == 2
+            and vs[0] != vs[1]
+            and len(edge_ids(vs[0])) == 2
+            and edge_ids(vs[0]) == edge_ids(vs[1])
+        )
     elif cert.kind == "overload":
-        if cert.edge is None or not 0 <= cert.edge < len(edges):
-            refuse("no such edge")
-        if len(set(cert.vertices)) != 3 or len(cert.vertices) != 3:
-            refuse("an overload is three distinct vertices")
-        for v in cert.vertices:
-            if v not in edges[cert.edge] or len(edge_set(v)) != 2:
-                refuse(f"vertex {v} is not a degree-2 vertex of the edge")
+        valid = (
+            has_edge
+            and len(set(vs)) == len(vs) == 3
+            and all(v in edges[cert.edge] and len(edge_ids(v)) == 2 for v in vs)
+        )
     elif cert.kind == "bridge":
-        if cert.edge is None or not 0 <= cert.edge < len(edges):
-            refuse("no such edge")
         side = set(cert.side)
-        if len(side) != len(cert.side) or not side <= set(range(n)):
-            refuse("the side is not a set of vertices")
-        if not 0 < len(side) < n:
-            refuse("the side is empty or everything")
-        for i, edge in enumerate(edges):
-            if i != cert.edge and 0 < len(side.intersection(edge)) < len(edge):
-                refuse(f"edge {i} crosses the cut too")
+        valid = (
+            has_edge
+            and len(side) == len(cert.side)
+            and side <= set(range(n))
+            and 0 < len(side) < n
+            and all(
+                i == cert.edge or side.isdisjoint(edge) or side.issuperset(edge)
+                for i, edge in enumerate(edges)
+            )
+        )
     else:
-        refuse("unknown kind")
+        valid = False
+    if n < 3 or not valid:
+        raise CertificateError(f"obstruction fails verification: {cert!r}")
     return cert

@@ -189,3 +189,12 @@ def test_checker_needs_three_vertices():
     H = Hypergraph(2, 2, [(0, 1)])
     with pytest.raises(CertificateError):
         certify_obstruction(H, Obstruction("bridge", edge=0, side=(0,)))
+
+
+def test_checker_refuses_twins_of_degree_three():
+    # 0 and 1 share all three of their edges, yet the host is Hamiltonian:
+    # only a vertex of degree 2 must use every edge it lies in
+    H = Hypergraph(6, 3, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 5), (3, 4, 5), (2, 4, 5)])
+    assert exact_hamiltonian(H) is not None
+    with pytest.raises(CertificateError):
+        certify_obstruction(H, Obstruction("twin", vertices=(0, 1)))
