@@ -313,8 +313,8 @@ def obstruction(H: Hypergraph) -> Optional[Obstruction]:
 def _bridge_sides(H: Hypergraph) -> dict:
     """Every bridge of the connected host H, mapped to one side of its cut.
 
-    An edge is a bridge when its node is a cut vertex of the vertex-edge
-    incidence graph, whose nodes are the vertices 0..n-1 and the edges
+    An edge is a bridge when removing it disconnects H, that is when its
+    node is a cut vertex of the vertex-edge incidence graph, whose nodes are the vertices 0..n-1 and the edges
     n..n+m-1. One iterative lowpoint DFS from vertex 0 finds them all
     (Hopcroft-Tarjan): an edge node x cuts off the subtree of a child c
     with low[c] >= disc[x], whose vertices are the side given."""
