@@ -103,7 +103,7 @@ def _cmd_tau(args) -> int:
     config = TrialConfig(
         probe=not args.no_probe,
         full_tau_bh=args.full_tau_bh,
-        budgets=tuple(args.budget),
+        budget=args.budget,
         jobs=args.jobs,
     )
     records, summary = run_trials(H, args.trials, args.seed, config)
@@ -221,13 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument(
-        "--budget",
-        type=int,
-        nargs="+",
-        default=[50_000, 200_000, 800_000],
-        help="probe budget escalation schedule",
-    )
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--no-probe", action="store_true", dest="no_probe")
     p.add_argument("--full-tau-bh", action="store_true", dest="full_tau_bh")
     p.add_argument("--timing", action="store_true")

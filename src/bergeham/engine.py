@@ -39,10 +39,11 @@ from .berge import (
     verify_cycle,
 )
 from .hypergraph import Hypergraph
-from .oracle import DEFAULT_GUARD, OracleGuard, exact_hamiltonian
+from .oracle import DEFAULT_GUARD, exact_hamiltonian
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_BUDGET = 200_000
+RESTARTS = 8  # start vertices a decision searches from, at most
 
 YES = "yes"
 NO = "no"
@@ -247,12 +248,10 @@ def decide_hamiltonian(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     fallback: bool = False,
-    guard: OracleGuard = DEFAULT_GUARD,
-    restarts: int = 8,
 ) -> DecisionOutcome:
-    """Search for a Berge Hamilton cycle by rotation-extension.
+    """Search for a Berge Hamilton cycle by rotation-extension from at
+    most ``RESTARTS`` start vertices, all but the first ordered by the seed.
 
-    Deterministic given the seed (which only orders restart vertices).
     With ``fallback`` enabled and the host within the oracle guard, an
     exhausted search escalates to the exact oracle instead of returning
     unknown.
@@ -270,7 +269,7 @@ def decide_hamiltonian(
     starts = [anchor] + rest
 
     best_len = 0
-    for start in starts[: max(1, restarts)]:
+    for start in starts[:RESTARTS]:
         if tracker.exhausted and best_len > 0:
             break
         tracker.restarts += 1
@@ -279,8 +278,8 @@ def decide_hamiltonian(
             return _yes(H, cycle, tracker)
         best_len = max(best_len, len(path))
 
-    if fallback and H.n <= guard.max_n and H.num_edges <= guard.max_edges:
-        cert = exact_hamiltonian(H, guard)
+    if fallback and DEFAULT_GUARD.admits(H):
+        cert = exact_hamiltonian(H)
         if cert is not None:
             return _yes(H, cert, tracker, provenance="oracle")
         return DecisionOutcome(
@@ -326,28 +325,24 @@ class ConnectOutcome:
 def connect_components(G: Hypergraph, gamma: Hypergraph) -> ConnectOutcome:
     """Add crossing edges of G one at a time until gamma is connected;
     reports the obstructing component split if G itself has none (then G
-    is disconnected across that split)."""
+    is disconnected across that split). Each added edge is the first of G
+    that leaves the component of vertex 0; no gamma edge does, so the
+    grown graph is built once, at the end."""
+    component_of = {v: comp for comp in gamma.components for v in comp}
+    comp = set(gamma.components[0])
     added = []
-    current = gamma
-    while not current.is_connected:
-        comp = set(current.components[0])
-        crossing = None
-        for e in G.edges:
-            inside = sum(1 for v in e if v in comp)
-            if 0 < inside < len(e) and not current.has_edge(e):
-                crossing = e
-                break
+    while len(comp) < G.n:
+        crossing = next(
+            (e for e in G.edges if 0 < sum(v in comp for v in e) < len(e)), None
+        )
         if crossing is None:
-            rest = tuple(v for v in range(G.n) if v not in comp)
-            return ConnectOutcome(
-                current,
-                connected=False,
-                added=tuple(added),
-                obstruction=(tuple(sorted(comp)), rest),
-            )
+            break
         added.append(crossing)
-        current = Hypergraph(G.n, G.r, list(current.edges) + [crossing])
-    return ConnectOutcome(current, connected=True, added=tuple(added))
+        comp.update(*(component_of[v] for v in crossing))
+    graph = Hypergraph(G.n, G.r, list(gamma.edges) + added) if added else gamma
+    rest = tuple(v for v in range(G.n) if v not in comp)
+    split = (tuple(sorted(comp)), rest) if rest else None
+    return ConnectOutcome(graph, not rest, tuple(added), split)
 
 
 def _booster_candidates(G: Hypergraph, gamma: Hypergraph, v: int) -> list:
@@ -397,7 +392,6 @@ def absorption_run(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     eps: float = 0.1,
-    guard: OracleGuard = DEFAULT_GUARD,
 ) -> Tuple[DecisionOutcome, list]:
     """Extract a sparse subgraph, connect it, then repeatedly absorb edge
     pairs (or single edges) from the host that verifiably lengthen the

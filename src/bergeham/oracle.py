@@ -23,6 +23,9 @@ class OracleGuard:
     max_n: int = 10
     max_edges: int = 400
 
+    def admits(self, H: Hypergraph) -> bool:
+        return H.n <= self.max_n and H.num_edges <= self.max_edges
+
 
 DEFAULT_GUARD = OracleGuard()
 

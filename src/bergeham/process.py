@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .berge import certify_obstruction, obstruction
-from .engine import NO, UNKNOWN, YES, decide_hamiltonian
+from .engine import DEFAULT_BUDGET, NO, UNKNOWN, YES, decide_hamiltonian
 from .hypergraph import Hypergraph
 from .oracle import DEFAULT_GUARD, OracleGuard, exact_hamiltonian
 from .rng import SplitMix64, derive_seed
@@ -167,41 +167,28 @@ def predicate_probe(pred: Callable[[Hypergraph], bool]) -> Probe:
     return probe
 
 
-def hamiltonicity_probe(
-    budgets: tuple = (50_000, 200_000),
-    seed: int = 0,
-    guard: OracleGuard = DEFAULT_GUARD,
-    use_oracle: bool = True,
-) -> Probe:
-    """One-sided Berge-Hamiltonicity probe: rotation engine with escalating
-    budgets, then the exact oracle when the prefix fits the guard.
+def hamiltonicity_probe(budget: int = DEFAULT_BUDGET, seed: int = 0) -> Probe:
+    """One-sided Berge-Hamiltonicity probe: one rotation search, which falls
+    back to the exact oracle when the prefix fits the oracle's guard.
 
-    The rounds are skipped on a connected prefix with a certified twin,
-    overload or bridge obstruction (``berge.obstruction``). No round could
-    end there: the engine says yes only with a verified Hamilton cycle,
-    which the obstruction rules out, and no only on a disconnected host.
-    So every verdict and provenance is the one the rounds would give.
+    A connected prefix with a certified twin, overload or bridge
+    obstruction (``berge.obstruction``) skips the search, which could
+    only end unknown there (its yes needs a Hamilton cycle, its no a
+    disconnected host), and goes to the oracle or, if too large, to unknown.
     """
 
     def probe(graph: Hypergraph, t: int) -> Tuple[str, str]:
         if graph.n < 3 or graph.num_edges < graph.n:
             return NO, "exact"
         blocker = obstruction(graph) if graph.is_connected else None
-        if blocker is not None:
-            certify_obstruction(graph, blocker)
-        else:
-            for round_no, budget in enumerate(budgets):
-                outcome = decide_hamiltonian(
-                    graph,
-                    budget=budget,
-                    seed=derive_seed(seed, t, round_no),
-                    fallback=False,
-                )
-                if outcome.verdict != UNKNOWN:
-                    return outcome.verdict, outcome.provenance
-        if use_oracle and graph.n <= guard.max_n and graph.num_edges <= guard.max_edges:
-            cert = exact_hamiltonian(graph, guard)
-            return (YES if cert is not None else NO), "oracle"
+        if blocker is None:
+            outcome = decide_hamiltonian(
+                graph, budget, seed=derive_seed(seed, t, 0), fallback=True
+            )
+            return outcome.verdict, outcome.provenance
+        certify_obstruction(graph, blocker)
+        if DEFAULT_GUARD.admits(graph):
+            return (YES if exact_hamiltonian(graph) else NO), "oracle"
         return UNKNOWN, "rotation"
 
     return probe
@@ -287,11 +274,9 @@ def tau_property(
 
 @dataclass(frozen=True)
 class TrialConfig:
-    min_degree_k: int = 2
     probe: bool = True
     full_tau_bh: bool = False
-    budgets: tuple = (50_000, 200_000, 800_000)
-    oracle_guard: OracleGuard = DEFAULT_GUARD
+    budget: int = DEFAULT_BUDGET
     jobs: int = 1
 
 
@@ -331,17 +316,13 @@ def run_one_trial(
     started = time.perf_counter()
     seed = seed_base ^ index
     proc = random_process(H, seed)
-    tau2 = tau_min_degree(proc, config.min_degree_k)
+    tau2 = tau_min_degree(proc, 2)
 
     tau_bh: Optional[int] = None
     coincide: Optional[bool] = None
     provenance = "none"
     if config.probe:
-        probe = hamiltonicity_probe(
-            budgets=config.budgets,
-            seed=derive_seed(seed, 0xB0),
-            guard=config.oracle_guard,
-        )
+        probe = hamiltonicity_probe(config.budget, seed=derive_seed(seed, 0xB0))
         verdict, provenance = probe(proc.prefix(tau2), tau2)
         if verdict == YES:
             coincide = True
@@ -363,20 +344,23 @@ def run_trials(
     """Independent trials (trial i uses seed_base XOR i) plus a summary
     that depends only on the record multiset, never on worker count.
 
-    With ``jobs > 1`` the trials run in a pool of worker processes started
-    by ``fork``, which POSIX systems have and Windows lacks: each worker
-    inherits the host and config from this process rather than receiving
-    a pickled copy. A trial depends on its index alone, so the records and
-    the summary are byte-identical for every ``jobs``."""
+    With ``jobs > 1`` the trials run in a pool of ``min(jobs, trials)``
+    worker processes started by ``fork``, which POSIX systems have and
+    Windows lacks: each worker inherits the host and config from this
+    process rather than receiving a pickled copy. A trial depends on its
+    index alone, so the records and the summary are byte-identical for
+    every ``jobs``."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    jobs = max(1, config.jobs)
-    if jobs == 1 or trials == 1:
+    if config.jobs < 1:
+        raise ValueError(f"need at least one job, got {config.jobs}")
+    workers = min(config.jobs, trials)
+    if workers == 1:
         records = [run_one_trial(H, i, seed_base, config) for i in range(trials)]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(
-            processes=jobs, initializer=_init_worker, initargs=(H, seed_base, config)
+            processes=workers, initializer=_init_worker, initargs=(H, seed_base, config)
         ) as pool:
             records = pool.map(_run_worker, range(trials))
     records.sort(key=lambda rec: rec.trial)

@@ -129,7 +129,7 @@ def test_criterion_04_tau_ordering():
         binomial(8, 3, 0.5, seed=4),
         binomial(9, 3, 0.35, seed=11),
     ]
-    config = TrialConfig(full_tau_bh=True, budgets=(20_000,))
+    config = TrialConfig(full_tau_bh=True, budget=20_000)
     for H in hosts:
         records, _ = run_trials(H, 10, 0xACCE04, config)
         for rec in records:
@@ -164,7 +164,7 @@ def test_criterion_06_coincidence_degree_condition():
 
 
 def test_criterion_07_counterexample_family():
-    probe = hamiltonicity_probe(budgets=(10_000,))
+    probe = hamiltonicity_probe(budget=10_000)
     for n in (8, 10, 12):
         H = two_cliques(n, 3)
         for seed in range(5):

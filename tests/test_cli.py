@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from bergeham.cli import main
-from bergeham.generators import complete, two_cliques
+from bergeham.cli import build_parser, main
+from bergeham.engine import DEFAULT_BUDGET
+from bergeham.generators import complete, two_cliques, two_cliques_matching
 from bergeham.hypergraph import serialize
 
 
@@ -178,6 +179,25 @@ class TestTauCmd:
                 )
             )
         assert outputs[0] == outputs[1]
+
+    def test_budget_default_and_single_value(self, tmp_path, capsys):
+        host = tmp_path / "tcm.txt"
+        host.write_text(serialize(two_cliques_matching(24, seed=1)), encoding="utf-8")
+        args = ["tau", "--host", str(host), "--trials", "6", "--seed", "4"]
+        default = run_cli(args, capsys)
+        assert default[0] == 0
+        assert run_cli(args + ["--budget", "200000"], capsys) == default
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--budget", "2000", "500"])
+        assert info.value.code == 2
+        assert build_parser().parse_args(args).budget == DEFAULT_BUDGET
+
+    def test_jobs_below_one_exit_2(self, k7_file, capsys):
+        code, text, err = run_cli(
+            ["tau", "--host", k7_file, "--trials", "2", "--jobs", "0"], capsys
+        )
+        assert code == 2 and text == ""
+        assert "at least one job" in err
 
 
 class TestThresholdsCmd:

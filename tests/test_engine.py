@@ -19,7 +19,7 @@ from bergeham.engine import (
 from bergeham.generators import binomial, complete, two_cliques, two_cliques_matching
 from bergeham.hypergraph import Hypergraph
 from bergeham.oracle import exact_hamiltonian
-from bergeham.rng import derive_seed
+from bergeham.rng import SplitMix64, derive_seed
 
 
 class TestDecideHamiltonian:
@@ -111,7 +111,58 @@ class TestExtractExpander:
         assert default_d0(40, 0.1) == 2
 
 
+def reference_connect_components(G, gamma):
+    """Verbatim copy of ``connect_components`` as it was when it built a
+    graph for every crossing edge it added."""
+    added = []
+    current = gamma
+    while not current.is_connected:
+        comp = set(current.components[0])
+        crossing = None
+        for e in G.edges:
+            inside = sum(1 for v in e if v in comp)
+            if 0 < inside < len(e) and not current.has_edge(e):
+                crossing = e
+                break
+        if crossing is None:
+            rest = tuple(v for v in range(G.n) if v not in comp)
+            return engine.ConnectOutcome(
+                current,
+                connected=False,
+                added=tuple(added),
+                obstruction=(tuple(sorted(comp)), rest),
+            )
+        added.append(crossing)
+        current = Hypergraph(G.n, G.r, list(current.edges) + [crossing])
+    return engine.ConnectOutcome(current, connected=True, added=tuple(added))
+
+
 class TestConnectComponents:
+    def test_matches_reference(self):
+        # gammas as absorption_run extracts them (mostly connected already)
+        # and random edge subsets (split into many parts); the disconnected
+        # hosts end with an obstruction, often after some joins
+        hosts = [complete(9, 3), complete(12, 3), complete(8, 4)]
+        hosts += [two_cliques(8, 3), two_cliques(10, 3), two_cliques(12, 4)]
+        hosts += [two_cliques_matching(n, seed=1) for n in (12, 24, 36)]
+        sparse = [(16, 0.04, 0), (20, 0.02, 0), (30, 0.008, 1), (40, 0.004, 2)]
+        sparse += [(40, 0.006, 1), (14, 0.15, 4), (20, 0.1, 8), (24, 0.015, 1)]
+        sparse.append((12, 0.3, 2))
+        hosts += [binomial(n, 3, p, seed=s) for n, p, s in sparse]
+        joins = obstructed_after_joins = 0
+        for G in hosts:
+            for d0 in (1, 2, 3):
+                for seed in range(20):
+                    ids = SplitMix64(seed).choose(range(G.num_edges), G.n // (d0 + 1))
+                    random_part = G.subgraph(sorted(ids))
+                    for gamma in (extract_expander(G, d0, seed), random_part):
+                        got = connect_components(G, gamma)
+                        want = reference_connect_components(G, gamma)
+                        assert got == want, (G, d0, seed)
+                        joins += len(got.added) > 1
+                        obstructed_after_joins += bool(got.added) and not got.connected
+        assert joins > 700 and obstructed_after_joins > 300
+
     def test_connected_gamma_unchanged(self):
         H = complete(6, 3)
         gamma = extract_expander(H, 3, seed=1)
@@ -357,8 +408,8 @@ class TestAbsorbStepMatchesReference:
 
 def test_absorption_builds_only_what_it_keeps(monkeypatch):
     """On the absorb-trap host and seeds, absorption_run builds one graph
-    per edge that connects the extracted subgraph and one per absorption
-    it keeps; a candidate pair that cannot close builds nothing."""
+    that connects the extracted subgraph, when it needs edges, and one per
+    absorption it keeps; a candidate pair that cannot close builds nothing."""
     builds = []
 
     class CountingHypergraph(Hypergraph):
@@ -374,6 +425,6 @@ def test_absorption_builds_only_what_it_keeps(monkeypatch):
         outcome, trace = absorption_run(G, seed=derive_seed(0xAB50, i))
         absorbed = [t for t in trace if t["event"] == "absorb"]
         assert outcome.verdict == "yes"
-        assert len(builds) == len(trace[0]["connect_added"]) + len(absorbed)
+        assert len(builds) == bool(trace[0]["connect_added"]) + len(absorbed)
         pair_absorptions += sum(t["arity"] == 2 for t in absorbed)
     assert pair_absorptions > 40

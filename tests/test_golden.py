@@ -94,7 +94,7 @@ CASES = [
      "0e16e2c8f468d48fd302683bde165fb37286f002a88930038c1326cc12db015f"),
     ("tau", "K30", ["--trials", "4", "--seed", "9"],
      "3bf553845a910f85276596ccb0e5e267b30121b24ed79839301c8a9436ad5256"),
-    ("tau", "TCM24", ["--trials", "8", "--seed", "1", "--budget", "2000", "500"],
+    ("tau", "TCM24", ["--trials", "8", "--seed", "1", "--budget", "2000"],
      "47b8bdad306ba3550d454e0dedd5b90b8cb9c65927ea2c7bb102a53ced63d355"),
     ("tau", "TCM36", ["--trials", "12", "--seed", "1"],
      "3eb892b56c91b3d5de8509fa4ff73a08345f73686ae1a5aede879ea1fb7780f8"),

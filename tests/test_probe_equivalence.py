@@ -1,9 +1,11 @@
 """The τ₂ probe against a verbatim copy of the probe that always searches.
 
 ``reference_probe`` runs every round of rotation search on every
-connected prefix before it falls back to the oracle. The package's
-``hamiltonicity_probe`` must give the same (verdict, provenance) on
-every τ₂ prefix below, whether or not it runs those rounds.
+connected prefix, with the escalating budgets ``run_one_trial`` once
+used, before it falls back to the oracle. The package's
+``hamiltonicity_probe`` makes one search, or none on an obstructed
+prefix, and must give the same (verdict, provenance) on every τ₂ prefix
+below.
 """
 
 import pytest
@@ -22,7 +24,7 @@ from bergeham.rng import derive_seed
 
 
 def reference_probe(
-    budgets: tuple = (50_000, 200_000),
+    budgets: tuple = (50_000, 200_000, 800_000),
     seed: int = 0,
     guard: OracleGuard = DEFAULT_GUARD,
     use_oracle: bool = True,
@@ -55,10 +57,9 @@ CONFIG = TrialConfig()
 
 def probes(seed: int):
     """The reference and the package probe as ``run_one_trial`` builds it."""
-    kwargs = dict(
-        budgets=CONFIG.budgets, seed=derive_seed(seed, 0xB0), guard=CONFIG.oracle_guard
-    )
-    return reference_probe(**kwargs), hamiltonicity_probe(**kwargs)
+    probe_seed = derive_seed(seed, 0xB0)
+    package = hamiltonicity_probe(CONFIG.budget, probe_seed)
+    return reference_probe(seed=probe_seed), package
 
 
 def tau2_prefix(H, seed: int):
@@ -110,6 +111,40 @@ def test_binomial_small():
     assert (NO, "oracle") in answers and (NO, "exact") in answers
 
 
+def test_prefixes_past_the_first_round():
+    # trials 35 and 52 of test_invariants' two_cliques_matching(12) run:
+    # the only τ₂ prefixes of the suite where the reference's first round
+    # ends unknown, so it searches again with larger budgets
+    from bergeham.berge import obstruction
+
+    H = two_cliques_matching(12, seed=0)
+    seeds = [99 ^ 35, 99 ^ 52]
+    for seed in seeds:
+        graph, tau2 = tau2_prefix(H, seed)
+        assert graph.is_connected and obstruction(graph) is None
+        first = decide_hamiltonian(
+            graph, budget=50_000, seed=derive_seed(derive_seed(seed, 0xB0), tau2, 0)
+        )
+        assert first.verdict == UNKNOWN
+    assert compare(H, seeds) == [(UNKNOWN, "rotation")] * 2
+
+
+def test_unobstructed_prefixes_only_the_oracle_decides():
+    # connected prefixes with n edges and no twin, overload or bridge that
+    # have no Hamilton cycle, so the search ends unknown and the oracle
+    # says no; and a budget of 0, which leaves every prefix to the oracle
+    from bergeham.berge import obstruction
+
+    for n, p, seed in ((9, 0.3, 10), (10, 0.5, 17)):
+        graph = random_process(binomial(n, 3, p, seed=seed), seed).prefix(n)
+        assert graph.is_connected and obstruction(graph) is None
+        reference, package = probes(seed)
+        assert reference(graph, n) == package(graph, n) == (NO, "oracle")
+    K7 = complete(7, 3)
+    assert reference_probe(budgets=(0,))(K7, 35) == (YES, "oracle")
+    assert hamiltonicity_probe(0)(K7, 35) == (YES, "oracle")
+
+
 def test_full_tau_bh_search():
     H = two_cliques_matching(24, seed=1)
     for i in range(4):
@@ -122,16 +157,17 @@ def test_full_tau_bh_search():
 
 @pytest.fixture
 def decide_calls(monkeypatch):
-    """Counts the probe's calls of ``decide_hamiltonian``."""
+    """The outcomes of the probe's calls of ``decide_hamiltonian``."""
     from bergeham import process
 
     calls = []
 
-    def counting_decide(*args, **kwargs):
-        calls.append(1)
-        return decide_hamiltonian(*args, **kwargs)
+    def recording_decide(*args, **kwargs):
+        outcome = decide_hamiltonian(*args, **kwargs)
+        calls.append(outcome)
+        return outcome
 
-    monkeypatch.setattr(process, "decide_hamiltonian", counting_decide)
+    monkeypatch.setattr(process, "decide_hamiltonian", recording_decide)
     return calls
 
 
@@ -161,3 +197,20 @@ def test_search_runs_exactly_where_no_obstruction(decide_calls):
         probes(seed)[1](graph, tau2)
         assert bool(decide_calls) == (blocker is None), i
     assert "bridge" in kinds and None in kinds
+
+
+def test_search_keeps_the_first_rounds_seed(decide_calls):
+    # τ₂ prefixes whose search closes a Hamilton cycle only from a later
+    # start vertex, in the order the seed draws; the one search must find
+    # the cycle, with the effort, that the reference's first round found
+    cases = [(two_cliques_matching(24, seed=1), 0xACCE07, i) for i in (36, 68)]
+    cases.append((complete(40, 3), 0xACCE05, 192))
+    for H, seed_base, i in cases:
+        seed = seed_base ^ i
+        graph, tau2 = tau2_prefix(H, seed)
+        del decide_calls[:]
+        assert probes(seed)[1](graph, tau2) == (YES, "rotation")
+        round_seed = derive_seed(derive_seed(seed, 0xB0), tau2, 0)
+        first = decide_hamiltonian(graph, budget=50_000, seed=round_seed)
+        assert first.effort["restarts"] > 1
+        assert [c.to_json() for c in decide_calls] == [first.to_json()]

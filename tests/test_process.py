@@ -286,7 +286,7 @@ class TestTauProperty:
 class TestRunTrials:
     def test_tau_bh_at_least_tau2(self):
         H = complete(7, 3)
-        config = TrialConfig(full_tau_bh=True, budgets=(5000,))
+        config = TrialConfig(full_tau_bh=True, budget=5000)
         records, summary = run_trials(H, 8, 77, config)
         for rec in records:
             assert rec.tau_bh is not None
@@ -309,6 +309,48 @@ class TestRunTrials:
             (r.trial, r.seed, r.tau2, r.tau_bh, r.coincide) for r in two
         ]
         assert s1 == s2
+
+    def test_pool_never_larger_than_trials(self, monkeypatch):
+        from bergeham import process
+
+        pools = []
+
+        class FakePool:
+            """Runs the workers' initializer and map in this process."""
+
+            def __init__(self, processes, initializer, initargs):
+                pools.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(i) for i in items]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(
+            process.multiprocessing, "get_context", lambda method: FakeContext
+        )
+        H = complete(8, 3)
+        serial, summary = run_trials(H, 3, 21, TrialConfig(jobs=1))
+        for jobs, started in ((2, 2), (3, 3), (8, 3), (64, 3)):
+            records, pooled = run_trials(H, 3, 21, TrialConfig(jobs=jobs))
+            assert pools.pop() == started
+            assert records_to_csv(records) == records_to_csv(serial)
+            assert pooled == summary
+        run_trials(H, 1, 21, TrialConfig(jobs=8))
+        assert pools == []
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="at least one job"):
+            run_trials(complete(8, 3), 2, 1, TrialConfig(jobs=jobs))
 
     def test_summary_is_pure_function_of_records(self):
         H = complete(8, 3)
@@ -335,7 +377,7 @@ class TestRunTrials:
 class TestProbes:
     def test_hamiltonicity_probe_small_host_oracle_backstop(self):
         H = binomial(7, 3, 0.2, seed=5)
-        probe = hamiltonicity_probe(budgets=(100,), seed=1)
+        probe = hamiltonicity_probe(budget=100, seed=1)
         g = H
         verdict, provenance = probe(g, 0)
         assert verdict in ("yes", "no")
