@@ -18,6 +18,7 @@ Budgets include 0 and small values that run out mid-search.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -136,3 +137,90 @@ def run_case(command, host_file, extra, capsys) -> str:
 )
 def test_golden(command, host, extra, digest, host_files, capsys):
     assert run_case(command, host_files[host], extra, capsys) == digest
+
+
+# The decide and absorb cases again, with ``effort`` dropped from every
+# JSON line: (command, host, extra arguments, sha256 of "exit=<code>\n"
+# + stdout, each line re-serialised without its "effort" key). A change
+# that only spends less effort, and so re-records digests above, must
+# leave these alone: verdicts, certificates, best lengths and absorption
+# traces stay put.
+EFFORT_FREE = [
+    ("decide", "K10", [],
+     "126224d2eb062b05f641c4784e684e1703ee38098e39847de6649a3c140d86ef"),
+    ("decide", "K10", ["--budget", "0"],
+     "b250f8478f3ee6e39789d9633424ffff906b1af694407d38089e7b02cfa232fb"),
+    ("decide", "K10", ["--budget", "0", "--fallback"],
+     "61d976dce199eeeeab2dfcaa3418a2d2fbc2a377874c43a25c7271ee1769a898"),
+    ("decide", "K30", ["--seed", "5"],
+     "042f1b7c67217fc73408d9065c9bfd2681fdb9e2d73ba1558ac76053667d8e30"),
+    ("decide", "K30", ["--budget", "20"],
+     "03cbe27221eda66c3794fef8d5683254ab94e74bdd3d3cef3da8772848e936e6"),
+    ("decide", "TCM24", [],
+     "5ad7f9486a4d5d0f62751c2fc669e7fc0dfb646bfcdd60fd158cd21dcfe7139c"),
+    ("decide", "TCM24", ["--budget", "60"],
+     "5ad7f9486a4d5d0f62751c2fc669e7fc0dfb646bfcdd60fd158cd21dcfe7139c"),
+    ("decide", "B9", ["--fallback"],
+     "559d8f67767ce9a01a5471218187bb694424056cae49cb1aea89938f8d5b15bd"),
+    ("decide", "B12", ["--seed", "3"],
+     "416d98575a06e50d78a4dd5e0f82fbc593493e6c53fa3bafd114449a750f6466"),
+    ("decide", "B14", ["--budget", "40"],
+     "306cc1a39f05dca31af9510ce715725e195c8ca0bd300aafb02c8fed536e2442"),
+    ("decide", "B15", [],
+     "27a4d59576321a33ae0a6b85b25e2081fdebac5d669d706e60026d9d19f976d5"),
+    ("decide", "B16", ["--seed", "7"],
+     "2431a1aab4f1267876c721e15a0f5341f41d0d7e90be3bb622362e00e522979a"),
+    ("absorb", "K10", [],
+     "d28a22bea29f44fedc096ffab6c70b4e8073e99cdd843c85803c4d5e6d41eea3"),
+    ("absorb", "K30", ["--seed", "2"],
+     "fda413cf0ca294b690c02a34cd6e81f5a6f650da763b6cdd4a1a23de97efec69"),
+    ("absorb", "TCM24", ["--seed", "3"],
+     "87a324d9fec852e209c80ae369e8fa8fe9c68c21b2a1563f026b0953145d057a"),
+    ("absorb", "TCM24", ["--budget", "0"],
+     "d026d9887659aa58716bb08d69824b4db1c58d5c3565ac3df03db2f68a3b0f01"),
+    ("absorb", "TCM36", ["--seed", "9494955178128197401"],
+     "23cb28d35fbc9f6cb3c51bd122d67f4617a353ea0f720b69a898a47fb8d88237"),
+    ("absorb", "TCM36", ["--seed", "9494955178128197401", "--budget", "15000"],
+     "dc4017fb284dff2bebe87ab9c7d803d0d0a411f7b4522420f1bce65745324cf4"),
+    ("absorb", "B12", ["--seed", "6"],
+     "ad3cdb8f3cade01199113f3834634135f5d0ce3e9fbed32e10e9df87a406bf81"),
+    ("absorb", "B12", ["--seed", "6", "--budget", "10"],
+     "376eca5cf78223832e4d30006bc090716eb797dcd1f9ec4f4bc85d532ae37df8"),
+    ("absorb", "B12", ["--seed", "6", "--budget", "20"],
+     "ad3cdb8f3cade01199113f3834634135f5d0ce3e9fbed32e10e9df87a406bf81"),
+    ("absorb", "B12", ["--seed", "6", "--budget", "20", "--d0", "1"],
+     "e0080e47954d2ceaa90bd74a60ba2785f5806ca676e75d313f828b92aaa5629b"),
+    ("absorb", "B13", ["--d0", "1", "--seed", "0"],
+     "f552665b3f63e75290990c4ec160239d1a3961830e5ae6505531af4399ee6858"),
+    ("absorb", "B14", ["--d0", "2", "--seed", "4"],
+     "017151ca1755cebc340be4812f51caaa0ac6e73ef97dcad31b4d05d760ec36e9"),
+    ("absorb", "B15", ["--d0", "1", "--seed", "1"],
+     "2bdd386ca9207daa72c331cc36b6ce8a40a652a0b526484f5b34d197f40ed3da"),
+    ("absorb", "B16", ["--d0", "1", "--seed", "6"],
+     "3c78e858d51a93da2b724071c8db0809380fae4a9fd2ebed857921f4a54a8d8e"),
+]
+
+
+def run_case_without_effort(command, host_file, extra, capsys) -> str:
+    capsys.readouterr()
+    code = main([command, "--host", host_file, *extra])
+    lines = []
+    for line in capsys.readouterr().out.splitlines():
+        payload = json.loads(line)
+        payload.pop("effort", None)
+        lines.append(json.dumps(payload, sort_keys=True) + "\n")
+    return hashlib.sha256(f"exit={code}\n{''.join(lines)}".encode()).hexdigest()
+
+
+def test_effort_free_cases_cover_decide_and_absorb():
+    golden = [(c, h, x) for c, h, x, _ in CASES if c in ("decide", "absorb")]
+    assert [(c, h, x) for c, h, x, _ in EFFORT_FREE] == golden
+
+
+@pytest.mark.parametrize(
+    "command,host,extra,digest",
+    EFFORT_FREE,
+    ids=[f"{c}-{h}-{'_'.join(x) or 'default'}" for c, h, x, _ in EFFORT_FREE],
+)
+def test_golden_without_effort(command, host, extra, digest, host_files, capsys):
+    assert run_case_without_effort(command, host_files[host], extra, capsys) == digest
