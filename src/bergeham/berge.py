@@ -4,13 +4,16 @@ A Berge path alternates distinct vertices and distinct edges, each edge
 containing its two flanking vertices. Rotation keeps the first vertex and
 the whole vertex set fixed, reverses a suffix around a pivot edge, and
 yields a path of the same length with a new endpoint; iterating from a
-stuck path harvests many candidate endpoints.
+stuck path harvests many candidate endpoints. ``rotation_witnesses``
+streams them breadth-first, each as its rotation builds it, and
+``endpoint_closure`` collects the whole closure from that stream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .hypergraph import Hypergraph
 
@@ -145,23 +148,52 @@ class RotationClosure:
         return tuple(self.paths)
 
 
-def endpoint_closure(
-    H: Hypergraph, path: BergePath, budget: Optional[int] = None
-) -> RotationClosure:
-    """Breadth-first rotation exploration from ``path``, keeping the first
-    witness per endpoint. ``budget`` caps the number of rotations, checked
-    before each one; None means exhaustive. Every rotation counts, also
-    one that reaches an endpoint already seen: that one is counted but its
-    path is never built, since it could not change the closure."""
+class RotationCap:
+    """A budget of ``limit`` rotations (None: no limit) for
+    ``rotation_witnesses`` on its own. ``refused`` records that the
+    stream asked for a rotation past the limit."""
+
+    __slots__ = ("limit", "rotations", "refused")
+
+    def __init__(self, limit: Optional[int] = None):
+        self.limit = math.inf if limit is None else limit
+        self.rotations = 0
+        self.refused = False
+
+    @property
+    def used(self) -> int:
+        return self.rotations
+
+    @property
+    def exhausted(self) -> bool:
+        if self.rotations >= self.limit:
+            self.refused = True
+        return self.refused
+
+
+def rotation_witnesses(
+    H: Hypergraph, path: BergePath, budget
+) -> Iterator[BergePath]:
+    """Breadth-first rotation exploration from ``path``, streamed: yields
+    ``path`` and then the first witness of each new endpoint as soon as
+    its rotation builds it, so a caller that stops at a witness it can use
+    stops rotating there.
+
+    ``budget`` is the engine's search budget or a ``RotationCap``: it is
+    checked before each rotation (a rotation needs ``used < limit``, and
+    ``exhausted`` is asked when it does not) and counts it in
+    ``rotations`` when it happens. Every rotation counts, also one that
+    reaches an endpoint already seen: that one is counted but its path is
+    never built, since it could not change the closure."""
     if not verify_path(H, path):
-        raise ValueError("endpoint_closure requires a valid Berge path")
-    closure = RotationClosure(fixed=path.first, paths={path.last: path})
+        raise ValueError("a rotation closure requires a valid Berge path")
+    yield path
     ell = len(path.vertices)
     if ell < 3:
-        return closure
+        return
     # pivots sit at positions 0..ell-3: one at ell-2 would keep the endpoint
     limit = ell - 2
-    paths = closure.paths
+    seen = {path.last}
     edges = H.edges
     incidence = H.incidence
     positions = range(ell)
@@ -169,7 +201,9 @@ def endpoint_closure(
     # all: vertices off the path sit at ``ell``, past every pivot
     pos = dict.fromkeys(range(H.n), ell)
     pos_of = pos.__getitem__
-    rotations = 0
+    # the rotations the budget still allows, re-read after each yield:
+    # the caller may spend budget while the stream waits
+    room = budget.limit - budget.used
     queue = [path]
     while queue:
         nxt = []
@@ -185,20 +219,32 @@ def endpoint_closure(
                 for q in pivots:
                     if q >= limit:
                         break
-                    if budget is not None and rotations >= budget:
-                        closure.rotations_applied = rotations
-                        closure.budget_exhausted = True
-                        return closure
-                    rotations += 1
+                    if room <= 0 and budget.exhausted:
+                        return
+                    room -= 1
+                    budget.rotations += 1
                     # the rotation at q ends at vs[q + 1]: build it only if new
                     endpoint = vs[q + 1]
-                    if endpoint not in paths:
+                    if endpoint not in seen:
+                        seen.add(endpoint)
                         rotated = _rotated(cur, e, q)
-                        paths[endpoint] = rotated
                         nxt.append(rotated)
+                        yield rotated
+                        room = budget.limit - budget.used
         queue = nxt
-    closure.rotations_applied = rotations
-    return closure
+
+
+def endpoint_closure(
+    H: Hypergraph, path: BergePath, budget: Optional[int] = None
+) -> RotationClosure:
+    """The whole rotation closure of ``path``: ``rotation_witnesses``
+    drained, keeping the first witness per endpoint in the order they were
+    built. ``budget`` caps the number of rotations; None means exhaustive.
+    ``budget_exhausted`` says that a rotation was refused, not that the
+    count reached the cap."""
+    cap = RotationCap(budget)
+    paths = {w.last: w for w in rotation_witnesses(H, path, cap)}
+    return RotationClosure(path.first, paths, cap.rotations, cap.refused)
 
 
 def extend_at_tip(

@@ -2,11 +2,12 @@
 
 One search core serves both entry points. ``_search`` keeps a Berge path
 and alternates greedy extension at either end (``_grow``) with rotation:
-``_witnesses`` lazily harvests endpoint-pair witnesses from rotation
-closures at the tip and then at the other end of each tip witness, and
-``_try_endpoint`` takes a one-step win from a witness, extending it at
-its tip or closing it through both ends (reopening a cycle that does not
-span into a longer path). The search stops with a Hamilton cycle or says
+``_witnesses`` streams endpoint-pair witnesses from rotation closures at
+the tip and then at the other end of each tip witness, each as soon as
+its rotation builds it, and ``_try_endpoint`` takes a one-step win from
+a witness, extending it at its tip or closing it through both ends
+(reopening a cycle that does not span into a longer path). Rotation
+stops at the first witness that wins. The search stops with a Hamilton cycle or says
 why it could not find one: the path spans but cannot be closed, the
 budget ran out, or the path is stuck.
 
@@ -33,9 +34,10 @@ from .berge import (
     certify,
     close_with,
     closing_edge,
-    endpoint_closure,
+    endpoint_closure,  # unused here; bench/workloads.py traces engine.endpoint_closure
     extend_at_tip,
     reopen_cycle,
+    rotation_witnesses,
     verify_cycle,
 )
 from .hypergraph import Hypergraph
@@ -90,10 +92,6 @@ class _Budget:
     @property
     def exhausted(self) -> bool:
         return self.used >= self.limit
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.limit - self.used)
 
     def effort(self) -> dict:
         return {
@@ -185,23 +183,22 @@ def _try_endpoint(
     return None, longer
 
 
-def _closure(H: Hypergraph, path: BergePath, budget: _Budget):
-    budget.closures += 1
-    closure = endpoint_closure(H, path, budget=budget.remaining)
-    budget.rotations += closure.rotations_applied
-    return closure
-
-
 def _witnesses(H: Hypergraph, path: BergePath, budget: _Budget):
-    """Endpoint-pair witnesses of ``path``, lazily: the rotation closure at
-    its tip (always run), then, while the budget lasts, the closure at the
-    other end of each tip witness. All share the vertex set of ``path``."""
-    tip = _closure(H, path, budget).paths.values()
-    yield from tip
+    """Endpoint-pair witnesses of ``path``, streamed: the rotation closure
+    at its tip (always started), then, while the budget lasts, the closure
+    at the other end of each tip witness. Each witness is yielded as soon
+    as its rotation builds it, so a caller that stops at a winning witness
+    stops rotating there. All share the vertex set of ``path``."""
+    budget.closures += 1
+    tip = []
+    for cand in rotation_witnesses(H, path, budget):
+        tip.append(cand)
+        yield cand
     for cand in tip:
         if budget.exhausted:
             return
-        yield from _closure(H, cand.reverse(), budget).paths.values()
+        budget.closures += 1
+        yield from rotation_witnesses(H, cand.reverse(), budget)
 
 
 def _improve(

@@ -3,12 +3,14 @@ import pytest
 from bergeham.berge import (
     BergeCycle,
     BergePath,
+    RotationCap,
     _rotated,
     close_with,
     closing_edge,
     endpoint_closure,
     extend_at_tip,
     reopen_cycle,
+    rotation_witnesses,
     verify_cycle,
     verify_path,
 )
@@ -147,6 +149,17 @@ class TestEndpointClosure:
         with pytest.raises(ValueError):
             endpoint_closure(H, BergePath((0, 3), (0,)))
 
+    def test_stream_sees_budget_spent_while_it_waits(self):
+        H = complete(6, 3)
+        path = exact_longest_path(H)
+        cap = RotationCap(100)
+        stream = rotation_witnesses(H, path, cap)
+        assert next(stream) == path
+        assert next(stream).first == path.first
+        cap.rotations = 100  # spent by the caller between two witnesses
+        assert list(stream) == []
+        assert cap.refused and cap.rotations == 100
+
 
 def rotation_pivots(H: Hypergraph, path: BergePath, e: int) -> list:
     """Eligible 0-based pivot positions for rotating with edge e, which
@@ -257,6 +270,27 @@ class TestClosureMatchesReference:
                         exhausted += want[2]
         assert compared > 300
         assert exhausted > 100
+
+    def test_stream_matches_closure(self):
+        # the stream yields the closure's witnesses in insertion order, each
+        # as soon as it is built: stopped after k of them, it has done no
+        # more rotations than the whole closure
+        compared = 0
+        for G in _closure_cases():
+            path = greedy_path(G, G.n // 2)
+            _, total, _ = reference_closure(G, path)
+            for budget in {None, 0, 1, 2, 7, total // 3, total // 2, total}:
+                closure = endpoint_closure(G, path, budget=budget)
+                want = list(closure.paths.values())
+                assert want == list(reference_closure(G, path, budget)[0].values())
+                assert list(rotation_witnesses(G, path, RotationCap(budget))) == want
+                for k in range(1, len(want) + 1):
+                    cap = RotationCap(budget)
+                    stream = rotation_witnesses(G, path, cap)
+                    assert [next(stream) for _ in range(k)] == want[:k]
+                    assert cap.rotations <= closure.rotations_applied
+                    compared += 1
+        assert compared > 300
 
 
 class TestExtendOrClose:
