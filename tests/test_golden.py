@@ -50,47 +50,47 @@ CASES = [
     ("decide", "K30", ["--budget", "20"],
      "de42a26b157c2b4f79f45461a08ec234827b63494ea39e78aad06eb0230da08b"),
     ("decide", "TCM24", [],
-     "31d8075c6088df8ee6cd0365535c14f044f50153ef216017ca1dc0f16bd10a00"),
+     "f459a1f81561730443f9cab08383e5d9bed69eee34189ef06c849ea32d09c001"),
     ("decide", "TCM24", ["--budget", "60"],
-     "6c7f0c4d6d14ce3d834ef44e73ed7cae97df76b7da6c7d36a47b785fb8d1fc7f"),
+     "f459a1f81561730443f9cab08383e5d9bed69eee34189ef06c849ea32d09c001"),
     ("decide", "B9", ["--fallback"],
-     "148831dfae78ee3103863dd204690ec5399f4c747ca80f793b8591266f528c71"),
+     "23d7b8d161f77f568dafc19b4b265f8a77581997ddc22fd11ed7b604286418a2"),
     ("decide", "B12", ["--seed", "3"],
-     "4491120cbf953a5e1216d897255356b9dbcd80f10b5e1351402b6dae5e24b0c7"),
+     "603e5ea58dd76a8e51c7e439d7ad57893c590ed95e3586c2a5b2a1ad7bc1b2cb"),
     ("decide", "B14", ["--budget", "40"],
      "fab8c841bcf448f89a6c81d2f9a3b51d577f69023fcf3a6680869867ffa34765"),
     ("decide", "B15", [],
-     "1c95cf62e35da06076bb65d174858b48aeb92247cd21878a07428b09d16dc6e5"),
+     "cbb4c2124a2c822857323933df7123d607fd74ea67955d8206f01691fc250a4f"),
     ("decide", "B16", ["--seed", "7"],
-     "555e29c46dc7b366be80b6128e3c2e1ef8f5e90d8d1a726c3445a67e39dfad95"),
+     "3d1095d398d0179c92bb7ad3df3d24ec0017afdff7bb4559da9350b4271ddd55"),
     ("absorb", "K10", [],
-     "a81494c9d1df02f351b11095b80d0d6c2a69608b6d44386ec287141679144f68"),
+     "441ee1125795209aacf5f776125ea7d972591f497f6611dc905d212263aec93e"),
     ("absorb", "K30", ["--seed", "2"],
-     "921dfb019e72031e4f947fac2a6fefc2ac9cbf633353a6c24e064215840ca145"),
+     "ef629af0cd3eb8f39fc202d159ae1c934da73bbc0cfdae6deaf112aba3638539"),
     ("absorb", "TCM24", ["--seed", "3"],
-     "d8590320ba48b00476c2ba510bbae787d202e7561d7c332afc76dbcf18cc0abc"),
+     "d2dcfda622572a6b7a4bf804cf5d0c24f517b7c9dcf91af488cbd8a0fb5262a9"),
     ("absorb", "TCM24", ["--budget", "0"],
      "4a6364e4037cbcf808d4964154fd302c3691be3f80269f58d3de6a23297760a7"),
     ("absorb", "TCM36", ["--seed", "9494955178128197401"],
-     "77a7de7572e3d35cdd631a25ff79a9dde525a5871b30e07f2b9dd3019ae3deea"),
+     "67fbc4ad13998c9ff5e012d56678f95b68e92e60f45a171474b3d56697bea2cc"),
     ("absorb", "TCM36", ["--seed", "9494955178128197401", "--budget", "15000"],
-     "23a8480904dd0f735725dfb036bc54c5b0436ae70ef65ec88673f6eecf58b104"),
+     "18c113fb5a317bda0294108e0d87821767d03cf0be4421f65b17ca54ce7361c0"),
     ("absorb", "B12", ["--seed", "6"],
-     "2d42063ee3b620f86898cf430611c1ebd299cbe864235ca4bd53fba5723b26aa"),
+     "c7293f11b463705e89a3671e6b9d9f2b5718c85183959585fa42e945600114a1"),
     ("absorb", "B12", ["--seed", "6", "--budget", "10"],
      "858849d266eae6118755963667df061b516a934101df70e9f5b4e65233c02212"),
     ("absorb", "B12", ["--seed", "6", "--budget", "20"],
-     "4649b1deefa6c8e3854be4decf3bad1f54a964e842636acaec7c6051a4e151f5"),
+     "3b04c4adde65e882f8c7e5c9245e11f85460bc91f6d621ead54f6ba7513d1b73"),
     ("absorb", "B12", ["--seed", "6", "--budget", "20", "--d0", "1"],
-     "9bb184a7527dfd3ed03761933f758dcfdf1ec2b85870f8ef366c258b1011c011"),
+     "ef36ae967d996c98edcfe32e6e42de70388b3a88228fae42d8c9c4bd57312c7b"),
     ("absorb", "B13", ["--d0", "1", "--seed", "0"],
      "84fb56431859fcc8609f4dbc5b78468e470f1ef14555b1f75ce0d5249f002bf7"),
     ("absorb", "B14", ["--d0", "2", "--seed", "4"],
      "858b9d56985b40362ac364c6f4ceca06ede92dde545f4c8f592b4d02f588fed3"),
     ("absorb", "B15", ["--d0", "1", "--seed", "1"],
-     "ea1f96c454862de0e0e263ce572cc6d30bffc5566cea453b9f63bca61b7ad6f8"),
+     "b8e2ee2d84fab2364d746dca88575dd5e7fa794ea7d587acb3a9b4d0325027c8"),
     ("absorb", "B16", ["--d0", "1", "--seed", "6"],
-     "b4d9bcc763ca3179cce12813618b27663c1748f451d3045f3a453d50d303feee"),
+     "7d374e3d2aaa5c15e0fe6fbb9d2e1054051d581920b70ee423b813d310973bdb"),
     ("tau", "K10", ["--trials", "6", "--seed", "3"],
      "0e16e2c8f468d48fd302683bde165fb37286f002a88930038c1326cc12db015f"),
     ("tau", "K30", ["--trials", "4", "--seed", "9"],
