@@ -179,12 +179,15 @@ def rotation_witnesses(
     its rotation builds it, so a caller that stops at a witness it can use
     stops rotating there.
 
-    ``budget`` is the engine's search budget or a ``RotationCap``: it is
-    checked before each rotation (a rotation needs ``used < limit``, and
-    ``exhausted`` is asked when it does not) and counts it in
-    ``rotations`` when it happens. Every rotation counts, also one that
-    reaches an endpoint already seen: that one is counted but its path is
-    never built, since it could not change the closure."""
+    ``budget`` is the engine's search budget or a ``RotationCap``. Each
+    rotation needs ``used < limit``; when that fails, the stream ends if
+    ``exhausted`` confirms it. The stream counts its rotations and adds
+    them to ``budget.rotations`` before each yield and before it ends, so
+    the caller always sees every rotation done so far, and it re-reads
+    the budget after each yield, since the caller may spend some while
+    the stream waits. Every rotation counts, also one that reaches an
+    endpoint already seen: that one is counted but its path is never
+    built, since it could not change the closure."""
     if not verify_path(H, path):
         raise ValueError("a rotation closure requires a valid Berge path")
     yield path
@@ -201,9 +204,8 @@ def rotation_witnesses(
     # all: vertices off the path sit at ``ell``, past every pivot
     pos = dict.fromkeys(range(H.n), ell)
     pos_of = pos.__getitem__
-    # the rotations the budget still allows, re-read after each yield:
-    # the caller may spend budget while the stream waits
-    room = budget.limit - budget.used
+    room = budget.limit - budget.used  # rotations the budget still allows
+    done = 0  # rotations not yet added to the budget
     queue = [path]
     while queue:
         nxt = []
@@ -219,19 +221,25 @@ def rotation_witnesses(
                 for q in pivots:
                     if q >= limit:
                         break
-                    if room <= 0 and budget.exhausted:
-                        return
-                    room -= 1
-                    budget.rotations += 1
+                    if done >= room:
+                        budget.rotations += done
+                        done = 0
+                        if budget.exhausted:
+                            return
+                        room = budget.limit - budget.used
+                    done += 1
                     # the rotation at q ends at vs[q + 1]: build it only if new
                     endpoint = vs[q + 1]
                     if endpoint not in seen:
                         seen.add(endpoint)
                         rotated = _rotated(cur, e, q)
                         nxt.append(rotated)
+                        budget.rotations += done
                         yield rotated
                         room = budget.limit - budget.used
+                        done = 0
         queue = nxt
+    budget.rotations += done
 
 
 def endpoint_closure(
