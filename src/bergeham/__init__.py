@@ -5,10 +5,8 @@ small-instance oracle, hitting-time trials, and threshold reports."""
 from .berge import (
     BergeCycle,
     BergePath,
-    RotationCap,
     RotationClosure,
     endpoint_closure,
-    rotation_witnesses,
     verify_cycle,
     verify_path,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "NoHitError",
     "OracleGuard",
     "ParseError",
-    "RotationCap",
     "RotationClosure",
     "SplitMix64",
     "SubgraphProcess",
@@ -110,7 +107,6 @@ __all__ = [
     "parse",
     "property_report",
     "random_process",
-    "rotation_witnesses",
     "run_trials",
     "serialize",
     "shifted_thresholds",

@@ -7,9 +7,9 @@ the tip and then at the other end of each tip witness, each as soon as
 its rotation builds it, and ``_try_endpoint`` takes a one-step win from
 a witness, extending it at its tip or closing it through both ends
 (reopening a cycle that does not span into a longer path). Rotation
-stops at the first witness that wins. The search stops with a Hamilton cycle or says
-why it could not find one: the path spans but cannot be closed, the
-budget ran out, or the path is stuck.
+stops at the first witness that wins. The search stops with a Hamilton
+cycle or says why it could not find one: the path spans but cannot be
+closed, the budget ran out, or the path is stuck.
 
 ``decide_hamiltonian`` runs the core once per restart vertex. The engine
 is one-sided: "yes" always ships a certificate checked in ``_yes``, while
