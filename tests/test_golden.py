@@ -7,13 +7,15 @@ Each case runs ``bergeham.cli.main`` in-process on a host written by
 
 The cases reach every branch of the search: a spanning path closed
 directly, after rotations at its tip, and after rotations at both ends;
-a spanning path that cannot be closed; a budget that runs out before a
-closure, between closures and inside an absorption step; a stuck search
-and restarts that run out; the oracle fallback saying yes and no; and
-single-edge and pair absorption that lengthen the path or close it, and
-a pair scan (TCM36) that tests thousands of candidate pairs before one
-closes, or runs out of budget among them; and τ₂ prefixes (TCM36) whose
-one matching triple is a bridge, so that no search can close them.
+a spanning path that cannot be closed; a budget that runs out in greedy
+growth before any closure (K30), inside a rotation closure, where the
+witness stream refuses a rotation (B12 at budget 150), and inside an
+absorption step; a stuck search and restarts that run out; the oracle
+fallback saying yes and no; single-edge and pair absorption that
+lengthen the path or close it, and a pair scan (TCM36) that tests
+thousands of candidate pairs before one closes, or runs out of budget
+among them; and τ₂ prefixes (TCM36) whose one matching triple is a
+bridge, so that no search can close them.
 Budgets include 0 and small values that run out mid-search.
 """
 
@@ -57,6 +59,8 @@ CASES = [
      "23d7b8d161f77f568dafc19b4b265f8a77581997ddc22fd11ed7b604286418a2"),
     ("decide", "B12", ["--seed", "3"],
      "603e5ea58dd76a8e51c7e439d7ad57893c590ed95e3586c2a5b2a1ad7bc1b2cb"),
+    ("decide", "B12", ["--seed", "3", "--budget", "150"],
+     "503b6732eebbfe7b78a5450f6d39f90e609a6a685fa97ec09913e32b0196ff98"),
     ("decide", "B14", ["--budget", "40"],
      "fab8c841bcf448f89a6c81d2f9a3b51d577f69023fcf3a6680869867ffa34765"),
     ("decide", "B15", [],
@@ -163,6 +167,8 @@ EFFORT_FREE = [
     ("decide", "B9", ["--fallback"],
      "559d8f67767ce9a01a5471218187bb694424056cae49cb1aea89938f8d5b15bd"),
     ("decide", "B12", ["--seed", "3"],
+     "416d98575a06e50d78a4dd5e0f82fbc593493e6c53fa3bafd114449a750f6466"),
+    ("decide", "B12", ["--seed", "3", "--budget", "150"],
      "416d98575a06e50d78a4dd5e0f82fbc593493e6c53fa3bafd114449a750f6466"),
     ("decide", "B14", ["--budget", "40"],
      "306cc1a39f05dca31af9510ce715725e195c8ca0bd300aafb02c8fed536e2442"),
