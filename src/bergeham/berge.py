@@ -6,7 +6,8 @@ the whole vertex set fixed, reverses a suffix around a pivot edge, and
 yields a path of the same length with a new endpoint; iterating from a
 stuck path harvests many candidate endpoints. ``rotation_witnesses``
 streams them breadth-first, each as its rotation builds it, and
-``endpoint_closure`` collects the whole closure from that stream.
+``endpoint_closure`` collects the whole closure from that stream. Both
+spend a ``Budget``, the same class that budgets the engine's search.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def certify(H: Hypergraph, cert: Union[BergePath, BergeCycle]):
     return cert
 
 
-def _rotated(path: BergePath, e: int, pivot: int) -> BergePath:
+def rotated(path: BergePath, e: int, pivot: int) -> BergePath:
     """Apply the suffix-reversal at 0-based pivot position; caller has
     already validated eligibility."""
     vs, es = path.vertices, path.edge_ids
@@ -148,46 +149,55 @@ class RotationClosure:
         return tuple(self.paths)
 
 
-class RotationCap:
-    """A budget of ``limit`` rotations (None: no limit) for
-    ``rotation_witnesses`` on its own. ``refused`` records that the
-    stream asked for a rotation past the limit."""
+class Budget:
+    """A budget of ``limit`` steps (None: no limit), each a rotation or an
+    extension, and the effort spent: the search's budget and that of a
+    rotation closure on its own. ``refused`` records that
+    ``rotation_witnesses`` refused a rotation past the limit."""
 
-    __slots__ = ("limit", "rotations", "refused")
+    __slots__ = ("limit", "rotations", "extensions", "closures", "restarts", "refused")
 
     def __init__(self, limit: Optional[int] = None):
         self.limit = math.inf if limit is None else limit
         self.rotations = 0
+        self.extensions = 0
+        self.closures = 0
+        self.restarts = 0
         self.refused = False
 
     @property
     def used(self) -> int:
-        return self.rotations
+        return self.rotations + self.extensions
 
     @property
     def exhausted(self) -> bool:
-        if self.rotations >= self.limit:
-            self.refused = True
-        return self.refused
+        return self.used >= self.limit
+
+    def effort(self) -> dict:
+        return {
+            "rotations": self.rotations,
+            "extensions": self.extensions,
+            "closures": self.closures,
+            "restarts": self.restarts,
+        }
 
 
 def rotation_witnesses(
-    H: Hypergraph, path: BergePath, budget
+    H: Hypergraph, path: BergePath, budget: Budget
 ) -> Iterator[BergePath]:
     """Breadth-first rotation exploration from ``path``, streamed: yields
     ``path`` and then the first witness of each new endpoint as soon as
     its rotation builds it, so a caller that stops at a witness it can use
     stops rotating there.
 
-    ``budget`` is the engine's search budget or a ``RotationCap``. Each
-    rotation needs ``used < limit``; when that fails, the stream ends if
-    ``exhausted`` confirms it. The stream counts its rotations and adds
-    them to ``budget.rotations`` before each yield and before it ends, so
-    the caller always sees every rotation done so far, and it re-reads
-    the budget after each yield, since the caller may spend some while
-    the stream waits. Every rotation counts, also one that reaches an
-    endpoint already seen: that one is counted but its path is never
-    built, since it could not change the closure."""
+    Each rotation needs ``budget.used < budget.limit``; when that fails,
+    the stream sets ``budget.refused`` and ends. The stream counts its
+    rotations and adds them to ``budget.rotations`` before each yield and
+    before it ends, so the caller always sees every rotation done so far,
+    and it re-reads the budget after each yield, since the caller may
+    spend some while the stream waits. Every rotation counts, also one
+    that reaches an endpoint already seen: that one is counted but its
+    path is never built, since it could not change the closure."""
     if not verify_path(H, path):
         raise ValueError("a rotation closure requires a valid Berge path")
     yield path
@@ -222,20 +232,20 @@ def rotation_witnesses(
                     if q >= limit:
                         break
                     if done >= room:
+                        # ``room`` was read when the stream last resumed and
+                        # only this stream has rotated since: the budget is spent
                         budget.rotations += done
-                        done = 0
-                        if budget.exhausted:
-                            return
-                        room = budget.limit - budget.used
+                        budget.refused = True
+                        return
                     done += 1
                     # the rotation at q ends at vs[q + 1]: build it only if new
                     endpoint = vs[q + 1]
                     if endpoint not in seen:
                         seen.add(endpoint)
-                        rotated = _rotated(cur, e, q)
-                        nxt.append(rotated)
+                        witness = rotated(cur, e, q)
+                        nxt.append(witness)
                         budget.rotations += done
-                        yield rotated
+                        yield witness
                         room = budget.limit - budget.used
                         done = 0
         queue = nxt
@@ -250,7 +260,7 @@ def endpoint_closure(
     built. ``budget`` caps the number of rotations; None means exhaustive.
     ``budget_exhausted`` says that a rotation was refused, not that the
     count reached the cap."""
-    cap = RotationCap(budget)
+    cap = Budget(budget)
     paths = {w.last: w for w in rotation_witnesses(H, path, cap)}
     return RotationClosure(path.first, paths, cap.rotations, cap.refused)
 

@@ -16,9 +16,12 @@ is one-sided: "yes" always ships a certificate checked in ``_yes``, while
 "no" only comes from disconnection or the exact oracle.
 ``absorption_run`` runs the core once per step on a sparse extracted
 subgraph, and between steps adds pairs (or single edges) from the host
-that verifiably lengthen the path or close a spanning cycle. A candidate
-pair is decided by its pivot sets, the path positions its two edges can
-close at, without building a graph; only the pair that wins is built.
+that verifiably lengthen the path or close a spanning cycle. A pair
+(e_s, e_t) is the search's own two moves: a rotation of a witness with
+e_t at a pivot j, then the closing step through e_s. It is decided by
+its pivot sets, the positions j at which its two edges can do that,
+without building a graph; only the pair that wins is built. Both entry
+points spend a ``berge.Budget``, as ``berge.endpoint_closure`` does.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Optional, Tuple
 from .berge import (
     BergeCycle,
     BergePath,
+    Budget,
     CertificateError,
     certify,
     close_with,
@@ -37,8 +41,8 @@ from .berge import (
     endpoint_closure,  # unused here; bench/workloads.py traces engine.endpoint_closure
     extend_at_tip,
     reopen_cycle,
+    rotated,
     rotation_witnesses,
-    verify_cycle,
 )
 from .hypergraph import Hypergraph
 from .oracle import DEFAULT_GUARD, exact_hamiltonian
@@ -75,35 +79,8 @@ class DecisionOutcome:
         }
 
 
-class _Budget:
-    __slots__ = ("limit", "rotations", "extensions", "closures", "restarts")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.rotations = 0
-        self.extensions = 0
-        self.closures = 0
-        self.restarts = 0
-
-    @property
-    def used(self) -> int:
-        return self.rotations + self.extensions
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
-
-    def effort(self) -> dict:
-        return {
-            "rotations": self.rotations,
-            "extensions": self.extensions,
-            "closures": self.closures,
-            "restarts": self.restarts,
-        }
-
-
 def _yes(
-    H: Hypergraph, cycle: BergeCycle, tracker: _Budget, provenance: str = "rotation"
+    H: Hypergraph, cycle: BergeCycle, tracker: Budget, provenance: str = "rotation"
 ) -> DecisionOutcome:
     """The one place a "yes" is built: its certificate must be a Berge
     Hamilton cycle of H, or CertificateError is raised."""
@@ -133,10 +110,10 @@ def greedy_path(
 ) -> BergePath:
     """Greedily extended path from ``start`` (default: max-degree vertex),
     stuck at both ends."""
-    return _grow(H, initial_path(H, start), _Budget(budget))
+    return _grow(H, initial_path(H, start), Budget(budget))
 
 
-def _grow(H: Hypergraph, path: BergePath, budget: _Budget) -> BergePath:
+def _grow(H: Hypergraph, path: BergePath, budget: Budget) -> BergePath:
     """Greedy extension at the current end, switching ends when it is
     stuck, until both are; returns the final path oriented with its
     original first vertex first."""
@@ -158,7 +135,7 @@ def _grow(H: Hypergraph, path: BergePath, budget: _Budget) -> BergePath:
 
 
 def _try_endpoint(
-    H: Hypergraph, cand: BergePath, budget: _Budget, on_path: set
+    H: Hypergraph, cand: BergePath, budget: Budget, on_path: set
 ) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
     """From a witness, try a one-step win: extend at its tip, or close it
     with an unused edge through both ends. ``on_path`` is the witness's
@@ -173,17 +150,24 @@ def _try_endpoint(
         e = closing_edge(H, cand, used)
         if e is None:
             return None, None
-        cycle = close_with(cand, e)
-        if len(cycle) == H.n:
-            return cycle, None
-        longer = reopen_cycle(H, cycle)
+        cycle, longer = _spans_or_reopen(H, close_with(cand, e))
         if longer is None:
-            return None, None
+            return cycle, None
     budget.extensions += 1
     return None, longer
 
 
-def _witnesses(H: Hypergraph, path: BergePath, budget: _Budget):
+def _spans_or_reopen(
+    H: Hypergraph, cycle: BergeCycle
+) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
+    """(cycle, None) when ``cycle`` spans H, else (None, the longer path
+    that reopening it gives, None when no edge leaves it)."""
+    if len(cycle) == H.n:
+        return cycle, None
+    return None, reopen_cycle(H, cycle)
+
+
+def _witnesses(H: Hypergraph, path: BergePath, budget: Budget):
     """Endpoint-pair witnesses of ``path``, streamed: the rotation closure
     at its tip (always started), then, while the budget lasts, the closure
     at the other end of each tip witness. Each witness is yielded as soon
@@ -202,7 +186,7 @@ def _witnesses(H: Hypergraph, path: BergePath, budget: _Budget):
 
 
 def _improve(
-    H: Hypergraph, path: BergePath, budget: _Budget
+    H: Hypergraph, path: BergePath, budget: Budget
 ) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
     """``_try_endpoint`` on the first witness of ``path`` that wins, or
     (None, None) when none does."""
@@ -215,7 +199,7 @@ def _improve(
 
 
 def _search(
-    H: Hypergraph, path: BergePath, tracker: _Budget
+    H: Hypergraph, path: BergePath, tracker: Budget
 ) -> Tuple[Optional[BergeCycle], BergePath, Optional[str]]:
     """Grow ``path``; once it spans, close it directly or through rotated
     witnesses, and otherwise improve it by rotation and grow again.
@@ -255,7 +239,7 @@ def decide_hamiltonian(
     """
     if H.n < 3:
         raise ValueError(f"need at least 3 vertices, got n={H.n}")
-    tracker = _Budget(budget)
+    tracker = Budget(budget)
     if not H.is_connected:
         return DecisionOutcome(NO, effort=tracker.effort())
 
@@ -349,31 +333,6 @@ def _booster_candidates(G: Hypergraph, gamma: Hypergraph, v: int) -> list:
     )
 
 
-def _pair_boost(
-    gamma_plus: Hypergraph, path_vertices: tuple, path_edges: tuple, n: int
-) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
-    """Given gamma plus the two candidate edges appended at the end,
-    rebuild the covering cycle and reopen it (or report it spanning).
-    The candidates occupy the last two edge ids."""
-    e_s = gamma_plus.num_edges - 2  # contains first and vertices[j+1]
-    e_t = gamma_plus.num_edges - 1  # contains last and vertices[j]
-    es_edge = gamma_plus.edges[e_s]
-    et_edge = gamma_plus.edges[e_t]
-    ell = len(path_vertices)
-    for j in range(ell - 1):
-        if path_vertices[j + 1] in es_edge and path_vertices[j] in et_edge:
-            vs = path_vertices[: j + 1] + path_vertices[: j : -1]
-            es = path_edges[:j] + (e_t,) + path_edges[: j : -1] + (e_s,)
-            cycle = BergeCycle(vs, es)
-            if verify_cycle(gamma_plus, cycle):
-                if len(cycle) == n:
-                    return cycle, None
-                reopened = reopen_cycle(gamma_plus, cycle)
-                if reopened is not None:
-                    return None, reopened
-    return None, None
-
-
 def _remap_to_host(G: Hypergraph, gamma: Hypergraph, cycle: BergeCycle) -> BergeCycle:
     """Certificates built inside gamma cite gamma-local edge ids; every
     gamma edge is a host edge, so re-key them for host-level verification."""
@@ -401,7 +360,7 @@ def absorption_run(
     """
     if d0 is None:
         d0 = default_d0(G.n, eps)
-    tracker = _Budget(budget)
+    tracker = Budget(budget)
     trace: list = []
     if G.n < 3 or not G.is_connected or budget <= 0:
         verdict = NO if not G.is_connected else UNKNOWN
@@ -445,31 +404,26 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
     (gamma, path) or None when nothing improves.
 
     A pair (e_s, e_t) closes a witness v_0..v_(l-1) into a cycle exactly
-    when some pivot j has v_(j+1) in e_s and v_j in e_t, so each pair is
+    when some pivot j has v_(j+1) in e_s and v_j in e_t: rotating at j
+    with e_t makes v_(j+1) the tip, and e_s closes it. So each pair is
     decided by whether its two pivot sets meet, and gamma plus the pair
     is built only for the pair that wins. Every pair tested counts as an
-    extension."""
-    target = len(path)
+    extension.
+
+    Gamma is connected, so the first tip edge that leaves the path or
+    holds s, and the first pair whose pivot sets meet, always lengthen
+    the path or close a spanning cycle."""
     on_path = set(path.vertices)
     for witness in list(_witnesses(gamma, path, tracker)):
         s, t = witness.first, witness.last
         cands_t = _booster_candidates(G, gamma, t)
         # single-edge absorption: extend at the tip or close through both ends
         for edge in cands_t:
-            extends = any(v not in on_path for v in edge)
-            closes = s in edge
-            if not (extends or closes):
-                continue
-            gamma2 = Hypergraph(G.n, G.r, list(gamma.edges) + [edge])
-            cycle, better = _try_endpoint(gamma2, witness, tracker, on_path)
-            if cycle is not None:
-                trace.append(_absorb_entry(step, [edge], len(cycle), gamma2))
-                return gamma2, _cycle_as_path(cycle)
-            if better is not None and len(better) > target:
-                trace.append(_absorb_entry(step, [edge], len(better), gamma2))
-                return gamma2, better
-        # paired absorption: one edge at each endpoint, covering a
-        # consecutive path pair so the path closes into a cycle
+            if s in edge or not on_path.issuperset(edge):
+                gamma2 = Hypergraph(G.n, G.r, list(gamma.edges) + [edge])
+                won = _try_endpoint(gamma2, witness, tracker, on_path)
+                return _absorbed(trace, step, [edge], gamma2, *won)
+        # paired absorption: rotate with e_t, then close with e_s
         cands_s = _booster_candidates(G, gamma, s)
         pos = {v: j for j, v in enumerate(witness.vertices)}
         pivots_t = [{pos[v] for v in e_t if v in pos} for e_t in cands_t]
@@ -487,30 +441,28 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
                 if pivots_s.isdisjoint(pivots):
                     continue
                 gamma2 = Hypergraph(G.n, G.r, list(gamma.edges) + [e_s, e_t])
-                cycle, better = _pair_boost(
-                    gamma2, witness.vertices, witness.edge_ids, G.n
-                )
-                if cycle is not None:
-                    trace.append(_absorb_entry(step, [e_s, e_t], len(cycle), gamma2))
-                    return gamma2, _cycle_as_path(cycle)
-                if better is not None and len(better) > target:
-                    trace.append(_absorb_entry(step, [e_s, e_t], len(better), gamma2))
-                    return gamma2, better
+                j = min(pivots_s & pivots)
+                m = gamma2.num_edges  # e_s and e_t hold the last two edge ids
+                cycle = certify(gamma2, close_with(rotated(witness, m - 1, j), m - 2))
+                won = _spans_or_reopen(gamma2, cycle)
+                return _absorbed(trace, step, [e_s, e_t], gamma2, *won)
     return None
 
 
-def _absorb_entry(step, edges, new_length, gamma2):
-    return {
-        "event": "absorb",
-        "step": step,
-        "added": [list(e) for e in edges],
-        "arity": len(edges),
-        "new_length": new_length,
-        "gamma_edges": gamma2.num_edges,
-    }
-
-
-def _cycle_as_path(cycle: BergeCycle) -> BergePath:
-    """Spanning cycle found mid-absorption: keep it as a path so the main
-    loop re-closes it inside the updated graph."""
-    return BergePath(cycle.vertices, cycle.edge_ids[:-1])
+def _absorbed(trace, step, edges, gamma2, cycle, longer):
+    """Record an absorption of ``edges`` into ``gamma2`` and return the new
+    (gamma, path). A spanning cycle stays a path, so the main loop closes
+    it again inside ``gamma2``."""
+    if cycle is not None:
+        longer = BergePath(cycle.vertices, cycle.edge_ids[:-1])
+    trace.append(
+        {
+            "event": "absorb",
+            "step": step,
+            "added": [list(e) for e in edges],
+            "arity": len(edges),
+            "new_length": len(longer),
+            "gamma_edges": gamma2.num_edges,
+        }
+    )
+    return gamma2, longer

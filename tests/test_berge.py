@@ -3,13 +3,13 @@ import pytest
 from bergeham.berge import (
     BergeCycle,
     BergePath,
-    RotationCap,
-    _rotated,
+    Budget,
     close_with,
     closing_edge,
     endpoint_closure,
     extend_at_tip,
     reopen_cycle,
+    rotated,
     rotation_witnesses,
     verify_cycle,
     verify_path,
@@ -152,7 +152,7 @@ class TestEndpointClosure:
     def test_stream_sees_budget_spent_while_it_waits(self):
         H = complete(6, 3)
         path = exact_longest_path(H)
-        cap = RotationCap(100)
+        cap = Budget(100)
         stream = rotation_witnesses(H, path, cap)
         assert next(stream) == path
         assert next(stream).first == path.first
@@ -187,8 +187,8 @@ def rotate(H: Hypergraph, path: BergePath, e: int, pivot=None):
     None when no eligible pivot exists."""
     pivots = rotation_pivots(H, path, e)
     if pivot is None:
-        return _rotated(path, e, pivots[0]) if pivots else None
-    return _rotated(path, e, pivot) if pivot in pivots else None
+        return rotated(path, e, pivots[0]) if pivots else None
+    return rotated(path, e, pivot) if pivot in pivots else None
 
 
 def extend_or_close(H: Hypergraph, path: BergePath):
@@ -283,9 +283,9 @@ class TestClosureMatchesReference:
                 closure = endpoint_closure(G, path, budget=budget)
                 want = list(closure.paths.values())
                 assert want == list(reference_closure(G, path, budget)[0].values())
-                assert list(rotation_witnesses(G, path, RotationCap(budget))) == want
+                assert list(rotation_witnesses(G, path, Budget(budget))) == want
                 for k in range(1, len(want) + 1):
-                    cap = RotationCap(budget)
+                    cap = Budget(budget)
                     stream = rotation_witnesses(G, path, cap)
                     assert [next(stream) for _ in range(k)] == want[:k]
                     assert cap.rotations <= closure.rotations_applied

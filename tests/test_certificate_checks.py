@@ -3,8 +3,9 @@
 ``-O`` strips ``assert`` statements, so a certificate check written as an
 assert would let a corrupted certificate through. The child process below
 runs under ``-O``, corrupts each kind of certificate the package builds,
-Hamilton cycles and paths as well as the obstructions on which the τ₂
-probe skips its search, and reports whether the package refused it.
+Hamilton cycles and paths, the cycle that pair absorption closes, and the
+obstructions on which the τ₂ probe skips its search, and reports whether
+the package refused it.
 """
 
 import subprocess
@@ -13,8 +14,8 @@ import sys
 CHILD = r"""
 import sys
 from bergeham import engine, oracle, process
-from bergeham.berge import BergeCycle, BergePath, CertificateError, Obstruction, close_with
-from bergeham.generators import complete
+from bergeham.berge import BergeCycle, BergePath, CertificateError, Obstruction, close_with, rotated
+from bergeham.generators import complete, two_cliques_matching
 from bergeham.hypergraph import Hypergraph
 
 print("optimize", sys.flags.optimize)
@@ -34,6 +35,13 @@ def spanning_closures_corrupted(n):
         return BergeCycle(cycle.vertices, repeat_first_edge(cycle.edge_ids))
 
     return corrupt_close_with
+
+
+def pair_rotation_corrupted(path, e, pivot):
+    # The rotation a pair absorption closes through its second edge, with
+    # one edge id swapped for the first: the closed cycle repeats an edge.
+    witness = rotated(path, e, pivot)
+    return BergePath(witness.vertices, repeat_first_edge(witness.edge_ids))
 
 
 def short_cycle_search(H, path, tracker):
@@ -57,6 +65,8 @@ cases = [
      lambda: engine.decide_hamiltonian(complete(10, 3))),
     ("absorb", engine, "close_with", spanning_closures_corrupted(12),
      lambda: engine.absorption_run(complete(12, 3), d0=4, budget=300_000, seed=9)),
+    ("absorb-pair", engine, "rotated", pair_rotation_corrupted,
+     lambda: engine.absorption_run(two_cliques_matching(36, seed=1), seed=9494955178128197401)),
     ("decide-short-cycle", engine, "_search", short_cycle_search,
      lambda: engine.decide_hamiltonian(complete(10, 3))),
     ("oracle-cycle", oracle, "BergeCycle",
@@ -103,6 +113,7 @@ def test_corrupted_certificates_raise_under_O(cli_env, tmp_path):
         "optimize 1",
         "decide refused",
         "absorb refused",
+        "absorb-pair refused",
         "decide-short-cycle refused",
         "oracle-cycle refused",
         "oracle-path refused",

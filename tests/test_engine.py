@@ -1,13 +1,12 @@
+from typing import Optional, Tuple
+
 import pytest
 
 from bergeham import engine
-from bergeham.berge import verify_cycle
+from bergeham.berge import BergeCycle, BergePath, reopen_cycle, verify_cycle
 from bergeham.engine import (
     DEFAULT_BUDGET,
-    _absorb_entry,
     _booster_candidates,
-    _cycle_as_path,
-    _pair_boost,
     _try_endpoint,
     _witnesses,
     absorption_run,
@@ -265,7 +264,51 @@ class TestHigherUniformity:
 
 # The absorption step before candidate pairs were decided by their pivot
 # sets, kept verbatim as the reference: it builds gamma plus both edges
-# for every candidate pair and lets _pair_boost judge it.
+# for every candidate pair and lets _pair_boost judge it. The three
+# helpers below are verbatim copies of the engine's own before pair
+# absorption became a rotation plus a closing step.
+def _pair_boost(
+    gamma_plus: Hypergraph, path_vertices: tuple, path_edges: tuple, n: int
+) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
+    """Given gamma plus the two candidate edges appended at the end,
+    rebuild the covering cycle and reopen it (or report it spanning).
+    The candidates occupy the last two edge ids."""
+    e_s = gamma_plus.num_edges - 2  # contains first and vertices[j+1]
+    e_t = gamma_plus.num_edges - 1  # contains last and vertices[j]
+    es_edge = gamma_plus.edges[e_s]
+    et_edge = gamma_plus.edges[e_t]
+    ell = len(path_vertices)
+    for j in range(ell - 1):
+        if path_vertices[j + 1] in es_edge and path_vertices[j] in et_edge:
+            vs = path_vertices[: j + 1] + path_vertices[: j : -1]
+            es = path_edges[:j] + (e_t,) + path_edges[: j : -1] + (e_s,)
+            cycle = BergeCycle(vs, es)
+            if verify_cycle(gamma_plus, cycle):
+                if len(cycle) == n:
+                    return cycle, None
+                reopened = reopen_cycle(gamma_plus, cycle)
+                if reopened is not None:
+                    return None, reopened
+    return None, None
+
+
+def _absorb_entry(step, edges, new_length, gamma2):
+    return {
+        "event": "absorb",
+        "step": step,
+        "added": [list(e) for e in edges],
+        "arity": len(edges),
+        "new_length": new_length,
+        "gamma_edges": gamma2.num_edges,
+    }
+
+
+def _cycle_as_path(cycle: BergeCycle) -> BergePath:
+    """Spanning cycle found mid-absorption: keep it as a path so the main
+    loop re-closes it inside the updated graph."""
+    return BergePath(cycle.vertices, cycle.edge_ids[:-1])
+
+
 def reference_absorb_step(G, gamma, path, tracker, trace, step):
     """Find host edges outside gamma that improve the stuck path, scanning
     endpoint pairs from rotation closures at both ends. Returns the new

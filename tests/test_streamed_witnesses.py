@@ -17,11 +17,10 @@ verdict; the sweep below checks that on 90 budget-bound runs.
 import pytest
 
 from bergeham import engine
-from bergeham.berge import endpoint_closure, verify_cycle
+from bergeham.berge import Budget, endpoint_closure, verify_cycle
 from bergeham.engine import (
     UNKNOWN,
     YES,
-    _Budget,
     absorption_run,
     decide_hamiltonian,
     greedy_path,
@@ -150,15 +149,15 @@ def test_witness_stream_matches_eager_witnesses():
     for H in (two_cliques_matching(24, seed=1), binomial(12, 3, 0.3, seed=1)):
         for start in (0, H.n // 2):
             path = greedy_path(H, start)
-            total = sum(1 for _ in eager_witnesses(H, path, _Budget(UNBOUNDED)))
+            total = sum(1 for _ in eager_witnesses(H, path, Budget(UNBOUNDED)))
             for limit in (0, 1, 7, 60, UNBOUNDED):
-                want_budget = _Budget(limit)
+                want_budget = Budget(limit)
                 want = list(eager_witnesses(H, path, want_budget))
-                got_budget = _Budget(limit)
+                got_budget = Budget(limit)
                 assert list(engine._witnesses(H, path, got_budget)) == want
                 assert got_budget.effort() == want_budget.effort()
                 for k in range(1, min(total, 40)):
-                    partial = _Budget(limit)
+                    partial = Budget(limit)
                     stream = engine._witnesses(H, path, partial)
                     got = [next(stream) for _ in range(min(k, len(want)))]
                     assert got == want[:k]
