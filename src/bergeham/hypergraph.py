@@ -405,7 +405,7 @@ def check_codegree_condition(H: Hypergraph, eps: float) -> CheckResult:
     for v in range(H.n):
         if good[v] < need:
             return CheckResult(VIOLATED, witness=v, observed=good[v], bound=need)
-    return CheckResult(VERIFIED, observed=min(good) if H.n else None, bound=need)
+    return CheckResult(VERIFIED, observed=min(good), bound=need)
 
 
 def check_min_degree_conditions(H: Hypergraph, eps: float) -> MinDegreeReport:

@@ -378,20 +378,19 @@ def _quantile(sorted_vals: list, q: float) -> float:
 
 
 def summarize(records: list, seed_base: int) -> dict:
-    """Pure function of the record multiset; no timing data so output stays
-    byte-reproducible."""
+    """Pure function of the (non-empty) record multiset; no timing data so
+    output stays byte-reproducible."""
     taus = sorted(rec.tau2 for rec in records)
     n_yes = sum(1 for rec in records if rec.coincide is True)
     n_no = sum(1 for rec in records if rec.coincide is False)
     n_unknown = sum(1 for rec in records if rec.coincide is None)
-    probed = n_yes + n_no + n_unknown
     return {
         "trials": len(records),
         "seed_base": seed_base,
-        "coincidence_fraction": (n_yes / len(records)) if records else None,
+        "coincidence_fraction": n_yes / len(records),
         "coincide_yes": n_yes,
         "coincide_no": n_no,
-        "inconclusive": n_unknown if probed else 0,
+        "inconclusive": n_unknown,
         "tau2_min": taus[0],
         "tau2_q25": _quantile(taus, 0.25),
         "tau2_median": _quantile(taus, 0.5),
