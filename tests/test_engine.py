@@ -3,7 +3,7 @@ from typing import Optional, Tuple
 import pytest
 
 from bergeham import engine
-from bergeham.berge import BergeCycle, BergePath, reopen_cycle, verify_cycle
+from bergeham.berge import BergeCycle, BergePath, Budget, reopen_cycle, verify_cycle
 from bergeham.engine import (
     DEFAULT_BUDGET,
     _booster_candidates,
@@ -447,6 +447,25 @@ class TestAbsorbStepMatchesReference:
         for budget in (DEFAULT_BUDGET, 15_000):
             self._compare(G, None, seed, budget)
         assert self.ran_out_in_pairs == 1
+
+    def test_pair_whose_pivot_sets_meet_twice(self):
+        # e_s = {0, 2, 4} and e_t = {1, 3, 5} close the spanning path
+        # 0..5 at pivot 1 and at pivot 3; the reference rotates at the
+        # first pivot its scan finds, so the step must take the least
+        gamma_edges = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (1, 4, 5)]
+        gamma = Hypergraph(6, 3, gamma_edges)
+        G = Hypergraph(6, 3, gamma_edges + [(0, 2, 4), (1, 3, 5)])
+        path = BergePath(
+            tuple(range(6)), tuple(gamma.edge_id_of(e) for e in gamma_edges)
+        )
+        results = []
+        for step in (engine._absorb_step, reference_absorb_step):
+            trace = []
+            results.append((step(G, gamma, path, Budget(100), trace, 0), trace))
+        assert results[0] == results[1]
+        (_, boosted), trace = results[0]
+        assert trace[0]["added"] == [[0, 2, 4], [1, 3, 5]]
+        assert boosted.vertices == (0, 1, 5, 4, 3, 2)
 
 
 def test_absorption_builds_only_what_it_keeps(monkeypatch):
