@@ -17,10 +17,20 @@ thousands of candidate pairs before one closes, or runs out of budget
 among them; and τ₂ prefixes (TCM36) whose one matching triple is a
 bridge, so that no search can close them.
 Budgets include 0 and small values that run out mid-search.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints the recorded and
+the current digest of every ``CASES`` and ``EFFORT_FREE`` entry, flags
+the ones that moved, and exits 1 if any did.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -116,15 +126,19 @@ CASES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def host_files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden-hosts")
+def write_hosts(root: Path) -> dict:
+    """Writes every host of ``HOSTS`` under ``root``; returns name -> path."""
     files = {}
     for name, spec in HOSTS.items():
         path = root / f"{name}.txt"
         assert main(["gen", *spec, "--out", str(path)]) == 0
         files[name] = str(path)
     return files
+
+
+@pytest.fixture(scope="module")
+def host_files(tmp_path_factory):
+    return write_hosts(tmp_path_factory.mktemp("golden-hosts"))
 
 
 def run_case(command, host_file, extra, capsys) -> str:
@@ -230,3 +244,41 @@ def test_effort_free_cases_cover_decide_and_absorb():
 )
 def test_golden_without_effort(command, host, extra, digest, host_files, capsys):
     assert run_case_without_effort(command, host_files[host], extra, capsys) == digest
+
+
+def report() -> int:
+    """Prints the recorded and the current digest of every ``CASES`` and
+    ``EFFORT_FREE`` entry, flagging the ones that moved; returns how many
+    moved."""
+    out = io.StringIO()
+
+    def readouterr():
+        # what ``run_case`` reads of pytest's capsys: the output since last read
+        text = out.getvalue()
+        out.seek(0)
+        out.truncate()
+        return SimpleNamespace(out=text)
+
+    capture = SimpleNamespace(readouterr=readouterr)
+    tables = [("CASES", CASES, run_case)]
+    tables.append(("EFFORT_FREE", EFFORT_FREE, run_case_without_effort))
+    rows = []
+    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stdout(out):
+        files = write_hosts(Path(root))
+        for table, cases, run in tables:
+            for command, host, extra, digest in cases:
+                current = run(command, files[host], extra, capture)
+                rows.append((table, command, host, extra, digest, current))
+    moved = 0
+    for table, command, host, extra, digest, current in rows:
+        flag = "ok" if current == digest else "MOVED"
+        moved += current != digest
+        print(f"{flag:5} {table} {command} {host} {' '.join(extra)}".rstrip())
+        print(f"      recorded {digest}")
+        print(f"      current  {current}")
+    print(f"{moved} of {len(rows)} digests moved")
+    return moved
+
+
+if __name__ == "__main__":
+    sys.exit(1 if report() else 0)
