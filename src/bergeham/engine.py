@@ -205,7 +205,9 @@ def _search(
     witnesses, and otherwise improve it by rotation and grow again.
 
     Returns (cycle, last path, stop): a Hamilton cycle with stop None, or
-    None and why the search stopped (SPANNING_UNCLOSABLE, BUDGET or STUCK).
+    None and why the search stopped: BUDGET whenever the budget is spent,
+    also when it refused the rotations that might have closed or
+    lengthened the path, else SPANNING_UNCLOSABLE or STUCK.
     """
     while True:
         path = _grow(H, path, tracker)
@@ -213,14 +215,16 @@ def _search(
             cycle, _ = _try_endpoint(H, path, tracker, set(path.vertices))
             if cycle is None and not tracker.exhausted:
                 cycle, _ = _improve(H, path, tracker)
-            return cycle, path, None if cycle else SPANNING_UNCLOSABLE
+            if cycle is not None:
+                return cycle, path, None
+            return None, path, BUDGET if tracker.exhausted else SPANNING_UNCLOSABLE
         if tracker.exhausted:
             return None, path, BUDGET
         # _try_endpoint returns a cycle only when it spans, and the
         # witnesses of a path that does not span do not
         _, longer = _improve(H, path, tracker)
         if longer is None:
-            return None, path, STUCK
+            return None, path, BUDGET if tracker.exhausted else STUCK
         path = longer
 
 

@@ -248,6 +248,43 @@ class TestAbsorptionRun:
         assert verify_cycle(G, outcome.certificate, weak=False)
 
 
+class TestBudgetStop:
+    @pytest.mark.parametrize(
+        "d0,seed,budget,spans",
+        [
+            # golden ``absorb B12 --seed 6 --budget 20``: the stream that
+            # should close a spanning path is refused at the limit
+            (None, 6, 20, True),
+            # the stream that should lengthen a 9-vertex path is refused
+            (1, 0, 10, False),
+        ],
+    )
+    def test_refused_stream_ends_the_run(self, monkeypatch, d0, seed, budget, spans):
+        """A search whose rotation stream the budget refuses stops with
+        BUDGET, whether its path spans or not, and absorption_run then runs
+        no absorption step, so it spends no more than its budget."""
+        G = binomial(12, 3, 0.06, seed=6)
+        stops, steps = [], []
+        search, absorb_step = engine._search, engine._absorb_step
+
+        def traced_search(H, path, tracker):
+            cycle, last, stop = search(H, path, tracker)
+            stops.append((stop, tracker.refused, len(last) == H.n))
+            return cycle, last, stop
+
+        def traced_step(*args):
+            steps.append(args[-1])
+            return absorb_step(*args)
+
+        monkeypatch.setattr(engine, "_search", traced_search)
+        monkeypatch.setattr(engine, "_absorb_step", traced_step)
+        outcome, _ = absorption_run(G, d0=d0, budget=budget, seed=seed)
+        assert stops == [(engine.BUDGET, True, spans)]
+        assert steps == []
+        assert outcome.verdict == "unknown"
+        assert outcome.effort["rotations"] + outcome.effort["extensions"] == budget
+
+
 class TestHigherUniformity:
     def test_decide_complete_4_graph(self):
         H = complete(8, 4)
