@@ -94,7 +94,7 @@ CASES = [
     ("absorb", "B12", ["--seed", "6", "--budget", "10"],
      "858849d266eae6118755963667df061b516a934101df70e9f5b4e65233c02212"),
     ("absorb", "B12", ["--seed", "6", "--budget", "20"],
-     "3b04c4adde65e882f8c7e5c9245e11f85460bc91f6d621ead54f6ba7513d1b73"),
+     "53e150fe271bad82eee22859d437700c06453dbb7bffa5750b75b07c2019ed7c"),
     ("absorb", "B12", ["--seed", "6", "--budget", "20", "--d0", "1"],
      "ef36ae967d996c98edcfe32e6e42de70388b3a88228fae42d8c9c4bd57312c7b"),
     ("absorb", "B13", ["--d0", "1", "--seed", "0"],
