@@ -15,13 +15,16 @@ closed, the budget ran out, or the path is stuck.
 is one-sided: "yes" always ships a certificate checked in ``_yes``, while
 "no" only comes from disconnection or the exact oracle.
 ``absorption_run`` runs the core once per step on a sparse extracted
-subgraph, and between steps adds pairs (or single edges) from the host
-that verifiably lengthen the path or close a spanning cycle. A pair
-(e_s, e_t) is the search's own two moves: a rotation of a witness with
-e_t at a pivot j, then the closing step through e_s. It is decided by
-its pivot sets, the positions j at which its two edges can do that,
-without building a graph; only the pair that wins is built. Both entry
-points spend a ``berge.Budget``, as ``berge.endpoint_closure`` does.
+subgraph, joined up by crossing host edges that it finds by vertex
+bitmask, and between steps adds pairs (or single edges) from the host
+that verifiably lengthen the path or close a spanning cycle. The step
+streams its witnesses as the search does, so it stops rotating at the
+witness it absorbs at. A pair (e_s, e_t) is the search's own two moves:
+a rotation of a witness with e_t at a pivot j, then the closing step
+through e_s. It is decided by its pivot sets, the positions j at which
+its two edges can do that, without building a graph; only the pair that
+wins is built. Both entry points spend a ``berge.Budget``, as
+``berge.endpoint_closure`` does.
 """
 
 from __future__ import annotations
@@ -312,21 +315,29 @@ def connect_components(G: Hypergraph, gamma: Hypergraph) -> ConnectOutcome:
     reports the obstructing component split if G itself has none (then G
     is disconnected across that split). Each added edge is the first of G
     that leaves the component of vertex 0; no gamma edge does, so the
-    grown graph is built once, at the end."""
-    component_of = {v: comp for comp in gamma.components for v in comp}
-    comp = set(gamma.components[0])
+    grown graph is built once, at the end. That component is kept as a
+    vertex bitmask ``comp``, so an edge of mask m crosses it exactly when
+    ``m & comp`` and ``m & ~comp`` are both nonzero."""
+    mask_of = {}  # vertex -> vertex bitmask of its gamma component
+    for members in gamma.components:
+        mask = sum(1 << v for v in members)
+        mask_of.update(dict.fromkeys(members, mask))
+    comp = mask_of[0]
+    full = (1 << G.n) - 1
     added = []
-    while len(comp) < G.n:
-        crossing = next(
-            (e for e in G.edges if 0 < sum(v in comp for v in e) < len(e)), None
+    while comp != full:
+        i = next(
+            (i for i, m in enumerate(G.edge_masks) if m & comp and m & ~comp), None
         )
-        if crossing is None:
+        if i is None:
             break
-        added.append(crossing)
-        comp.update(*(component_of[v] for v in crossing))
+        added.append(G.edges[i])
+        for v in G.edges[i]:
+            comp |= mask_of[v]
     graph = Hypergraph(G.n, G.r, list(gamma.edges) + added) if added else gamma
-    rest = tuple(v for v in range(G.n) if v not in comp)
-    split = (tuple(sorted(comp)), rest) if rest else None
+    inside = tuple(v for v in range(G.n) if comp >> v & 1)
+    rest = tuple(v for v in range(G.n) if not comp >> v & 1)
+    split = (inside, rest) if rest else None
     return ConnectOutcome(graph, not rest, tuple(added), split)
 
 
@@ -407,6 +418,10 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
     endpoint pairs from rotation closures at both ends. Returns the new
     (gamma, path) or None when nothing improves.
 
+    The witnesses are streamed, so the step stops rotating at the one it
+    absorbs at, and the extensions its candidate pairs count share the
+    budget with the rotations still to come.
+
     A pair (e_s, e_t) closes a witness v_0..v_(l-1) into a cycle exactly
     when some pivot j has v_(j+1) in e_s and v_j in e_t: rotating at j
     with e_t makes v_(j+1) the tip, and e_s closes it. So each pair is
@@ -418,7 +433,7 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
     holds s, and the first pair whose pivot sets meet, always lengthen
     the path or close a spanning cycle."""
     on_path = set(path.vertices)
-    for witness in list(_witnesses(gamma, path, tracker)):
+    for witness in _witnesses(gamma, path, tracker):
         s, t = witness.first, witness.last
         cands_t = _booster_candidates(G, gamma, t)
         # single-edge absorption: extend at the tip or close through both ends

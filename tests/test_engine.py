@@ -303,7 +303,9 @@ class TestHigherUniformity:
 # sets, kept verbatim as the reference: it builds gamma plus both edges
 # for every candidate pair and lets _pair_boost judge it. The three
 # helpers below are verbatim copies of the engine's own before pair
-# absorption became a rotation plus a closing step.
+# absorption became a rotation plus a closing step. Only its witness
+# loop changed since: it streams the witnesses, as the engine does, so
+# the two spend the same rotations and their effort can be compared.
 def _pair_boost(
     gamma_plus: Hypergraph, path_vertices: tuple, path_edges: tuple, n: int
 ) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
@@ -352,7 +354,7 @@ def reference_absorb_step(G, gamma, path, tracker, trace, step):
     (gamma, path) or None when nothing improves."""
     target = len(path)
     on_path = set(path.vertices)
-    for witness in list(_witnesses(gamma, path, tracker)):
+    for witness in _witnesses(gamma, path, tracker):
         s, t = witness.first, witness.last
         cands_t = _booster_candidates(G, gamma, t)
         # single-edge absorption: extend at the tip or close through both ends

@@ -12,19 +12,39 @@ package rotates no more.
 At a budget that binds, spending fewer rotations may turn an
 ``unknown`` into a certified ``yes``, and should change no other
 verdict; the sweep below checks that on 90 budget-bound runs.
+
+The absorption step streams its witnesses too. ``draining_absorb_step``
+is that step as it was when it drained them with ``list(...)`` before
+trying the first; the streamed step must absorb the same edges at the
+same witness and rotate no more.
 """
+
+import json
 
 import pytest
 
 from bergeham import engine
-from bergeham.berge import Budget, endpoint_closure, verify_cycle
+from bergeham.berge import (
+    Budget,
+    certify,
+    close_with,
+    endpoint_closure,
+    rotated,
+    verify_cycle,
+)
 from bergeham.engine import (
+    DEFAULT_BUDGET,
     UNKNOWN,
     YES,
+    _absorbed,
+    _booster_candidates,
+    _spans_or_reopen,
+    _try_endpoint,
     absorption_run,
     decide_hamiltonian,
     greedy_path,
 )
+from bergeham.hypergraph import Hypergraph
 from bergeham.generators import binomial, complete, two_cliques_matching
 from bergeham.process import random_process, tau_min_degree
 from bergeham.rng import derive_seed
@@ -122,16 +142,19 @@ def absorb_hosts():
     return hosts
 
 
-def test_absorption_matches_eager_at_unbounded_budget(eager):
-    runs = []
-    for G in absorb_hosts():
-        for d0 in (1, 2, 4):
-            for seed in range(2):
-                runs.append((G, d0, seed))
+def absorb_runs():
+    """(host, d0, seed) of the absorption tests: the hosts above, and
+    absorb-trap seeds of which one (38) tests thousands of pairs."""
+    runs = [
+        (G, d0, seed) for G in absorb_hosts() for d0 in (1, 2, 4) for seed in (0, 1)
+    ]
     G = two_cliques_matching(36, seed=1)
-    runs += [(G, None, derive_seed(0xAB50, i)) for i in (3, 10, 14, 38)]
+    return runs + [(G, None, derive_seed(0xAB50, i)) for i in (3, 10, 14, 38)]
+
+
+def test_absorption_matches_eager_at_unbounded_budget(eager):
     absorbed = 0
-    for G, d0, seed in runs:
+    for G, d0, seed in absorb_runs():
         got, got_trace = absorption_run(G, d0=d0, budget=UNBOUNDED, seed=seed)
         want, want_trace = eager(
             absorption_run, G, d0=d0, budget=UNBOUNDED, seed=seed
@@ -164,6 +187,126 @@ def test_witness_stream_matches_eager_witnesses():
                     assert partial.rotations <= want_budget.rotations
                     compared += 1
     assert compared > 100
+
+
+# -- the absorption step's stream -------------------------------------------
+
+
+def draining_absorb_step(G, gamma, path, tracker, trace, step):
+    """Verbatim copy of ``engine._absorb_step`` as it was when it drained
+    every witness with ``list(...)``, docstring aside."""
+    on_path = set(path.vertices)
+    for witness in list(engine._witnesses(gamma, path, tracker)):
+        s, t = witness.first, witness.last
+        cands_t = _booster_candidates(G, gamma, t)
+        # single-edge absorption: extend at the tip or close through both ends
+        for edge in cands_t:
+            if s in edge or not on_path.issuperset(edge):
+                gamma2 = Hypergraph(G.n, G.r, list(gamma.edges) + [edge])
+                won = _try_endpoint(gamma2, witness, tracker, on_path)
+                return _absorbed(trace, step, [edge], gamma2, *won)
+        # paired absorption: rotate with e_t, then close with e_s
+        cands_s = _booster_candidates(G, gamma, s)
+        pos = {v: j for j, v in enumerate(witness.vertices)}
+        pivots_t = [{pos[v] for v in e_t if v in pos} for e_t in cands_t]
+        for e_s in cands_s:
+            if tracker.exhausted:
+                return None
+            pivots_s = {pos[v] - 1 for v in e_s if v in pos}
+            pivots_s.discard(-1)  # e_s holds s = v_0, which follows no pivot
+            if not pivots_s:
+                continue
+            for e_t, pivots in zip(cands_t, pivots_t):
+                if e_t == e_s:
+                    continue
+                tracker.extensions += 1
+                if pivots_s.isdisjoint(pivots):
+                    continue
+                gamma2 = Hypergraph(G.n, G.r, list(gamma.edges) + [e_s, e_t])
+                j = min(pivots_s & pivots)
+                m = gamma2.num_edges  # e_s and e_t hold the last two edge ids
+                cycle = certify(gamma2, close_with(rotated(witness, m - 1, j), m - 2))
+                won = _spans_or_reopen(gamma2, cycle)
+                return _absorbed(trace, step, [e_s, e_t], gamma2, *won)
+    return None
+
+
+def without_effort(outcome) -> str:
+    payload = outcome.to_json()
+    payload.pop("effort")
+    return json.dumps(payload, sort_keys=True)
+
+
+def test_absorption_step_matches_draining_copy_at_default_budget():
+    saved = absorbed = 0
+    for G, d0, seed in absorb_runs():
+        got, got_trace = absorption_run(G, d0=d0, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_absorb_step", draining_absorb_step)
+            want, want_trace = absorption_run(G, d0=d0, seed=seed)
+        assert without_effort(got) == without_effort(want)
+        assert got_trace == want_trace
+        assert got.effort["rotations"] <= want.effort["rotations"]
+        saved += want.effort["rotations"] - got.effort["rotations"]
+        absorbed += sum(t["event"] == "absorb" for t in want_trace)
+    assert absorbed > 50 and saved > 0
+
+
+def test_absorption_step_rotations_on_golden_tcm36():
+    # golden ``absorb TCM36 --seed 9494955178128197401``: each step
+    # absorbs at its first witness, so the rest of its closures go
+    G = two_cliques_matching(36, seed=1)
+    seed = 9494955178128197401
+    got, _ = absorption_run(G, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_absorb_step", draining_absorb_step)
+        want, _ = absorption_run(G, seed=seed)
+    assert got.verdict == want.verdict == YES
+    assert without_effort(got) == without_effort(want)
+    assert (want.effort["rotations"], got.effort["rotations"]) == (5417, 2710)
+    assert got.effort["extensions"] == want.effort["extensions"] == 16949
+
+
+def test_absorption_step_pulls_no_witness_past_its_absorption():
+    """The step stops pulling witnesses at the one it absorbs at: that
+    witness alone gives the step's result, and the witnesses pulled
+    before it give none."""
+    step, witnesses = engine._absorb_step, engine._witnesses
+    pulled = []
+
+    def recording(H, path, budget):
+        for witness in witnesses(H, path, budget):
+            pulled.append(witness)
+            yield witness
+
+    def replaying(chosen):
+        return lambda H, path, budget: iter(chosen)
+
+    checked = 0
+
+    def checked_step(G, gamma, path, tracker, trace, step_no):
+        nonlocal checked
+        pulled.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_witnesses", recording)
+            result = step(G, gamma, path, tracker, trace, step_no)
+            if result is None:
+                return None
+            before, last = pulled[:-1], pulled[-1:]
+            mp.setattr(engine, "_witnesses", replaying(before))
+            assert step(G, gamma, path, Budget(), [], step_no) is None
+            mp.setattr(engine, "_witnesses", replaying(last))
+            again = []
+            assert step(G, gamma, path, Budget(), again, step_no) == result
+            assert again == trace[-1:]
+        checked += 1
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_absorb_step", checked_step)
+        for G, d0, seed in absorb_runs():
+            absorption_run(G, d0=d0, seed=seed)
+    assert checked > 50
 
 
 # -- the declared verdict change at a budget that binds -----------------------
