@@ -82,13 +82,13 @@ CASES = [
     ("absorb", "K30", ["--seed", "2"],
      "ef629af0cd3eb8f39fc202d159ae1c934da73bbc0cfdae6deaf112aba3638539"),
     ("absorb", "TCM24", ["--seed", "3"],
-     "d2dcfda622572a6b7a4bf804cf5d0c24f517b7c9dcf91af488cbd8a0fb5262a9"),
+     "63b3a524a5366a381be4c2356dfc3e02df2fb1974fe3fe9d299c6884a07a6b4c"),
     ("absorb", "TCM24", ["--budget", "0"],
      "4a6364e4037cbcf808d4964154fd302c3691be3f80269f58d3de6a23297760a7"),
     ("absorb", "TCM36", ["--seed", "9494955178128197401"],
-     "67fbc4ad13998c9ff5e012d56678f95b68e92e60f45a171474b3d56697bea2cc"),
+     "998e5abb2c4a498e65feab28f9f128f3cb7efd8290af71409d07a057d742eee9"),
     ("absorb", "TCM36", ["--seed", "9494955178128197401", "--budget", "15000"],
-     "18c113fb5a317bda0294108e0d87821767d03cf0be4421f65b17ca54ce7361c0"),
+     "6bafbc61be4d60e7ad58141ae9a8e7db6953e93acfafb69fabe88d9db6d7125d"),
     ("absorb", "B12", ["--seed", "6"],
      "c7293f11b463705e89a3671e6b9d9f2b5718c85183959585fa42e945600114a1"),
     ("absorb", "B12", ["--seed", "6", "--budget", "10"],
@@ -96,15 +96,15 @@ CASES = [
     ("absorb", "B12", ["--seed", "6", "--budget", "20"],
      "53e150fe271bad82eee22859d437700c06453dbb7bffa5750b75b07c2019ed7c"),
     ("absorb", "B12", ["--seed", "6", "--budget", "20", "--d0", "1"],
-     "ef36ae967d996c98edcfe32e6e42de70388b3a88228fae42d8c9c4bd57312c7b"),
+     "f8c0552be3df3f7b4d443dd0f862b30f754336d6984d15b504d49f07f3b85a2e"),
     ("absorb", "B13", ["--d0", "1", "--seed", "0"],
-     "84fb56431859fcc8609f4dbc5b78468e470f1ef14555b1f75ce0d5249f002bf7"),
+     "b1f97361978cc5eb510f9d744595b9f9d35bf2212c86aa02b42392502a36d203"),
     ("absorb", "B14", ["--d0", "2", "--seed", "4"],
      "858b9d56985b40362ac364c6f4ceca06ede92dde545f4c8f592b4d02f588fed3"),
     ("absorb", "B15", ["--d0", "1", "--seed", "1"],
-     "b8e2ee2d84fab2364d746dca88575dd5e7fa794ea7d587acb3a9b4d0325027c8"),
+     "6f95c72ad5f751a1162152f30de32e09285b1f7b041a8570bc53284e56128a05"),
     ("absorb", "B16", ["--d0", "1", "--seed", "6"],
-     "7d374e3d2aaa5c15e0fe6fbb9d2e1054051d581920b70ee423b813d310973bdb"),
+     "dff4fdc7e755e428eb8bc0c9dcaebe4f096f9964bce0cb841d0266a33c5cbf22"),
     ("tau", "K10", ["--trials", "6", "--seed", "3"],
      "0e16e2c8f468d48fd302683bde165fb37286f002a88930038c1326cc12db015f"),
     ("tau", "K30", ["--trials", "4", "--seed", "9"],
