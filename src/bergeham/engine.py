@@ -323,9 +323,9 @@ def connect_components(G: Hypergraph, gamma: Hypergraph) -> ConnectOutcome:
         mask = sum(1 << v for v in members)
         mask_of.update(dict.fromkeys(members, mask))
     comp = mask_of[0]
-    full = (1 << G.n) - 1
     added = []
-    while comp != full:
+    # each added edge joins at least one more component to comp
+    for _ in gamma.components[1:]:
         i = next(
             (i for i, m in enumerate(G.edge_masks) if m & comp and m & ~comp), None
         )
