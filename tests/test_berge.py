@@ -53,6 +53,55 @@ class TestVerifyPath:
     def test_single_vertex(self):
         assert verify_path(host_with([]), BergePath((3,), ()))
 
+    def test_edge_id_out_of_range(self):
+        H = host_with([(1, 2, 5), (2, 3, 5)])
+        assert not verify_path(H, BergePath((1, 2, 3), (0, 2)))
+        # id -2 would index edge 0, which holds both 1 and 2
+        assert not verify_path(H, BergePath((1, 2, 3), (-2, 1)))
+
+    def test_length_mismatch(self):
+        H = host_with([(1, 2, 5), (2, 3, 5)])
+        assert not verify_path(H, BergePath((1, 2, 3), (0,)))
+        assert not verify_path(H, BergePath((1, 2), (0, 1)))
+
+    def test_empty_vertex_tuple(self):
+        assert not verify_path(host_with([(1, 2, 5)]), BergePath((), ()))
+
+
+class TestVerifyCycle:
+    # edges 0 and 1 both hold 1 and 2; edge 2 holds 2 and 3; edge 3, 3 and 1
+    H = host_with([(1, 2, 5), (1, 2, 4), (2, 3, 5), (1, 3, 4)])
+
+    def test_two_cycle_through_distinct_edges(self):
+        assert verify_cycle(self.H, BergeCycle((1, 2), (0, 1)))
+
+    def test_length_mismatch(self):
+        assert not verify_cycle(self.H, BergeCycle((1, 2, 3), (0, 2)))
+        assert not verify_cycle(self.H, BergeCycle((1, 2), (0, 1, 2)))
+
+    def test_fewer_than_two_vertices(self):
+        assert not verify_cycle(self.H, BergeCycle((1,), (0,)))
+        assert not verify_cycle(self.H, BergeCycle((), ()))
+
+    def test_repeated_vertex(self):
+        # four distinct edges through 1 and 2: only the vertices repeat
+        H = host_with([(1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 1, 2)])
+        assert not verify_cycle(H, BergeCycle((1, 2, 1, 2), (0, 1, 2, 3)))
+
+    def test_repeated_edge(self):
+        assert not verify_cycle(self.H, BergeCycle((1, 2), (0, 0)))
+
+    def test_closing_edge_misses_first_vertex(self):
+        # the path 1-2-3 is valid; its closing edge 2 holds 3 but not 1
+        H = host_with([(1, 2, 5), (2, 3, 5), (3, 4, 5)])
+        assert verify_path(H, BergePath((1, 2, 3), (0, 1)))
+        assert not verify_cycle(H, BergeCycle((1, 2, 3), (0, 1, 2)))
+
+    def test_edge_id_out_of_range(self):
+        assert not verify_cycle(self.H, BergeCycle((1, 2, 3), (0, 2, 4)))
+        # id -1 would index edge 3, which holds both 3 and 1
+        assert not verify_cycle(self.H, BergeCycle((1, 2, 3), (0, 2, -1)))
+
 
 class TestRotate:
     def test_worked_example_with_new_edge(self):

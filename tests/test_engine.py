@@ -81,6 +81,41 @@ class TestDecideHamiltonian:
         assert hits > 0
 
 
+def tau2_prefix(n: int, seed: int) -> Hypergraph:
+    """Distinct uniform triples on n vertices, drawn until every vertex has
+    degree 2: the tau_2 prefix of a random ordering of complete(n, 3)."""
+    rng = SplitMix64(seed)
+    edges, seen = [], set()
+    degree = [0] * n
+    short = n  # vertices of degree below 2
+    while short:
+        e = tuple(sorted({rng.below(n), rng.below(n), rng.below(n)}))
+        if len(e) < 3 or e in seen:
+            continue
+        seen.add(e)
+        edges.append(e)
+        for v in e:
+            degree[v] += 1
+            short -= degree[v] == 2
+    return Hypergraph(n, 3, edges)
+
+
+class TestLargeN:
+    def test_tau2_prefix_at_n_1000(self):
+        H = tau2_prefix(1000, seed=1)
+        assert (H.num_edges, H.min_degree()) == (3715, 2)
+        out = decide_hamiltonian(H)
+        assert out.verdict == "yes"
+        assert verify_cycle(H, out.certificate)
+        assert len(out.certificate) == 1000
+        assert out.effort == {
+            "rotations": 682,
+            "extensions": 999,
+            "closures": 61,
+            "restarts": 1,
+        }
+
+
 class TestExtractExpander:
     def test_d0_above_max_degree_keeps_everything(self):
         H = complete(7, 3)
