@@ -58,9 +58,6 @@ class BergeCycle:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def is_hamiltonian(self, n: int) -> bool:
-        return len(self.vertices) == n
-
     def to_json(self) -> dict:
         return {
             "vertices": list(self.vertices),
@@ -69,43 +66,36 @@ class BergeCycle:
         }
 
 
-def verify_path(H: Hypergraph, path: BergePath, weak: bool = False) -> bool:
-    """True iff the path invariants hold in H; weak mode skips only the
-    distinct-edge requirement."""
-    vs, es = path.vertices, path.edge_ids
-    if len(vs) < 1 or len(es) != len(vs) - 1:
-        return False
-    if len(set(vs)) != len(vs):
-        return False
-    if not weak and len(set(es)) != len(es):
-        return False
-    for e in es:
-        if not 0 <= e < H.num_edges:
-            return False
-    for i, e in enumerate(es):
-        edge = H.edges[e]
-        if vs[i] not in edge or vs[i + 1] not in edge:
-            return False
-    return True
-
-
-def verify_cycle(H: Hypergraph, cycle: BergeCycle, weak: bool = False) -> bool:
-    vs, es = cycle.vertices, cycle.edge_ids
+def _is_berge(H: Hypergraph, vs: tuple, es: tuple, closed: bool) -> bool:
+    """The one Berge check: the vertices ``vs`` and the edge ids ``es`` are
+    each distinct, and every ``es[i]`` is an edge of H holding ``vs[i]``
+    and ``vs[i + 1]``. A ``closed`` sequence has one edge per vertex, at
+    least two vertices, and its last edge wraps round to ``vs[0]``."""
     k = len(vs)
-    if k < 2 or len(es) != k:
+    if k < (2 if closed else 1) or len(es) != (k if closed else k - 1):
         return False
-    if len(set(vs)) != k:
+    if len(set(vs)) != k or len(set(es)) != len(es):
         return False
-    if not weak and len(set(es)) != k:
-        return False
-    for e in es:
-        if not 0 <= e < H.num_edges:
-            return False
+    edges = H.edges
+    m = len(edges)
     for i, e in enumerate(es):
-        edge = H.edges[e]
+        if not 0 <= e < m:
+            return False
+        edge = edges[e]
+        # (i + 1) % k is i + 1 on a path, whose last edge has i = k - 2
         if vs[i] not in edge or vs[(i + 1) % k] not in edge:
             return False
     return True
+
+
+def verify_path(H: Hypergraph, path: BergePath) -> bool:
+    """True iff ``path`` is a Berge path of H."""
+    return _is_berge(H, path.vertices, path.edge_ids, closed=False)
+
+
+def verify_cycle(H: Hypergraph, cycle: BergeCycle) -> bool:
+    """True iff ``cycle`` is a Berge cycle of H."""
+    return _is_berge(H, cycle.vertices, cycle.edge_ids, closed=True)
 
 
 class CertificateError(RuntimeError):
@@ -117,11 +107,8 @@ def certify(H: Hypergraph, cert: Union[BergePath, BergeCycle]):
     """Return ``cert`` when it is a valid Berge path or cycle of H; raise
     CertificateError otherwise. An explicit check, so that it also runs
     under ``python -O``."""
-    if isinstance(cert, BergeCycle):
-        valid = verify_cycle(H, cert)
-    else:
-        valid = verify_path(H, cert)
-    if not valid:
+    closed = isinstance(cert, BergeCycle)
+    if not _is_berge(H, cert.vertices, cert.edge_ids, closed):
         raise CertificateError(f"certificate fails verification: {cert.to_json()}")
     return cert
 
@@ -197,9 +184,11 @@ def rotation_witnesses(
     and it re-reads the budget after each yield, since the caller may
     spend some while the stream waits. Every rotation counts, also one
     that reaches an endpoint already seen: that one is counted but its
-    path is never built, since it could not change the closure."""
-    if not verify_path(H, path):
-        raise ValueError("a rotation closure requires a valid Berge path")
+    path is never built, since it could not change the closure.
+
+    The caller vouches that ``path`` is a Berge path of H: the engine
+    passes only paths it built, and ``endpoint_closure`` checks its
+    caller's path first."""
     yield path
     ell = len(path.vertices)
     if ell < 3:
@@ -259,7 +248,10 @@ def endpoint_closure(
     drained, keeping the first witness per endpoint in the order they were
     built. ``budget`` caps the number of rotations; None means exhaustive.
     ``budget_exhausted`` says that a rotation was refused, not that the
-    count reached the cap."""
+    count reached the cap. Raises ValueError unless ``path`` is a Berge
+    path of H."""
+    if not verify_path(H, path):
+        raise ValueError("a rotation closure requires a valid Berge path")
     cap = Budget(budget)
     paths = {w.last: w for w in rotation_witnesses(H, path, cap)}
     return RotationClosure(path.first, paths, cap.rotations, cap.refused)

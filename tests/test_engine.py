@@ -27,7 +27,7 @@ class TestDecideHamiltonian:
         out = decide_hamiltonian(H)
         assert out.verdict == "yes"
         assert out.provenance == "rotation"
-        assert verify_cycle(H, out.certificate, weak=False)
+        assert verify_cycle(H, out.certificate)
         assert len(out.certificate) == 7
 
     def test_complete_4_yes(self):
@@ -76,7 +76,7 @@ class TestDecideHamiltonian:
             out = decide_hamiltonian(H)
             if out.verdict == "yes":
                 hits += 1
-                assert verify_cycle(H, out.certificate, weak=False)
+                assert verify_cycle(H, out.certificate)
                 assert exact_hamiltonian(H) is not None
         assert hits > 0
 
@@ -236,7 +236,7 @@ class TestAbsorptionRun:
         G = complete(20, 3)
         outcome, trace = absorption_run(G, d0=8, budget=500_000, seed=3)
         assert outcome.verdict == "yes"
-        assert verify_cycle(G, outcome.certificate, weak=False)
+        assert verify_cycle(G, outcome.certificate)
         absorbed = [t for t in trace if t["event"] == "absorb"]
         assert len(absorbed) <= G.n
 
@@ -269,7 +269,7 @@ class TestAbsorptionRun:
         G = complete(12, 3)
         outcome, trace = absorption_run(G, d0=4, budget=300_000, seed=9)
         assert outcome.verdict == "yes"
-        assert verify_cycle(G, outcome.certificate, weak=False)
+        assert verify_cycle(G, outcome.certificate)
         assert len(outcome.certificate) == 12
 
     def test_paired_absorption_occurs_and_wins(self):
@@ -280,7 +280,7 @@ class TestAbsorptionRun:
         arities = [t["arity"] for t in trace if t["event"] == "absorb"]
         assert 2 in arities
         assert outcome.verdict == "yes"
-        assert verify_cycle(G, outcome.certificate, weak=False)
+        assert verify_cycle(G, outcome.certificate)
 
 
 class TestBudgetStop:
