@@ -41,7 +41,10 @@ def _load_host(path: str) -> Hypergraph:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SystemExit(f"cannot write {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -111,8 +114,8 @@ def _cmd_tau(args) -> int:
     csv_text += records_to_csv(records, with_timing=args.timing)
     summary_text = _json_line(summary)
     if args.out:
-        Path(args.out + ".csv").write_text(csv_text, encoding="utf-8")
-        Path(args.out + ".summary.json").write_text(summary_text, encoding="utf-8")
+        _emit(csv_text, args.out + ".csv")
+        _emit(summary_text, args.out + ".summary.json")
         sys.stdout.write(summary_text)
     else:
         sys.stdout.write(csv_text)

@@ -122,6 +122,12 @@ class TestDecideCmd:
             assert dec == orc
             assert json.loads(dtext)["verdict"] == json.loads(otext)["verdict"]
 
+    def test_unwritable_out_exit_2(self, k7_file, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        code, text, err = run_cli(["decide", "--host", k7_file, "--out", out], capsys)
+        assert code == 2 and text == ""
+        assert err.startswith("error: cannot write")
+
 
 class TestAbsorbCmd:
     def test_runs_and_traces(self, tmp_path, capsys):
@@ -198,6 +204,14 @@ class TestTauCmd:
         )
         assert code == 2 and text == ""
         assert "at least one job" in err
+
+    def test_unwritable_out_exit_2(self, k7_file, tmp_path, capsys):
+        prefix = str(tmp_path / "missing" / "x")
+        code, text, err = run_cli(
+            ["tau", "--host", k7_file, "--trials", "2", "--out", prefix], capsys
+        )
+        assert code == 2 and text == ""
+        assert err.startswith("error: cannot write")
 
 
 class TestThresholdsCmd:
