@@ -257,3 +257,135 @@ class TestTextFormat:
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(ParseError, match="edge lines"):
             parse("3 3 2\n0 1 2\n")
+
+    def test_edge_count_reported_before_edge_faults(self):
+        # the count check runs before any edge line is checked, so the
+        # duplicate on line 3 is not what the error names
+        with pytest.raises(ParseError) as info:
+            parse("3 3 1\n0 1 2\n0 1 2\n")
+        assert str(info.value) == "line 3: expected 1 edge lines, found 2"
+
+
+def reference_parse(text: str) -> Hypergraph:
+    """``parse`` as it was when every host was validated twice: a list of
+    data rows, a duplicate map and an edge list, then the constructor.
+    Kept verbatim as the reference for its messages and line numbers."""
+    rows = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            rows.append((lineno, body))
+    if not rows:
+        raise ParseError(1, "missing header line 'n r m'")
+    header_line, header = rows[0]
+    parts = header.split()
+    if len(parts) != 3:
+        raise ParseError(header_line, f"header must be 'n r m', got {header!r}")
+    try:
+        n, r, m = (int(p) for p in parts)
+    except ValueError:
+        raise ParseError(header_line, f"header must be three integers, got {header!r}")
+    if n < 1 or r < 2 or m < 0:
+        raise ParseError(header_line, f"need n >= 1, r >= 2, m >= 0, got {header!r}")
+    if len(rows) - 1 != m:
+        raise ParseError(
+            rows[-1][0], f"expected {m} edge lines, found {len(rows) - 1}"
+        )
+    edges = []
+    seen = {}
+    for lineno, body in rows[1:]:
+        try:
+            verts = tuple(int(p) for p in body.split())
+        except ValueError:
+            raise ParseError(lineno, f"edge line must be integers, got {body!r}")
+        if len(verts) != r or len(set(verts)) != r:
+            raise ParseError(lineno, f"edge must have {r} distinct vertices, got {body!r}")
+        if min(verts) < 0 or max(verts) >= n:
+            raise ParseError(lineno, f"vertex out of range 0..{n - 1} in {body!r}")
+        key = tuple(sorted(verts))
+        if key in seen:
+            raise ParseError(lineno, f"duplicate edge {key} (first at line {seen[key]})")
+        seen[key] = lineno
+        edges.append(verts)
+    return Hypergraph(n, r, edges)
+
+
+def _parse_outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except ValueError as exc:
+        return type(exc).__name__, getattr(exc, "line", None), str(exc)
+
+
+def _mutate(lines: list, n: int, r: int, rng: SplitMix64) -> list:
+    """One random fault or harmless change to a host's text lines (header
+    first, then one line per edge). Half the time the header's edge count
+    is then made to match, so that the edge-level faults are reached."""
+    lines = list(lines)
+    kind = rng.below(11)
+    at = rng.below(len(lines))
+    tokens = lines[at].split()
+    if kind == 0 and tokens:  # drop a token
+        del tokens[rng.below(len(tokens))]
+        lines[at] = " ".join(tokens)
+    elif kind == 1:  # add a token
+        tokens.insert(rng.below(len(tokens) + 1), str(rng.below(n + 2) - 1))
+        lines[at] = " ".join(tokens)
+    elif kind == 2 and tokens:  # an out-of-range id
+        tokens[rng.below(len(tokens))] = str(rng.choose([-1, n, n + 7], 1)[0])
+        lines[at] = " ".join(tokens)
+    elif kind == 3 and len(tokens) > 1:  # a repeated vertex
+        i, j = rng.choose(list(range(len(tokens))), 2)
+        tokens[i] = tokens[j]
+        lines[at] = " ".join(tokens)
+    elif kind == 4 and tokens:  # a non-integer
+        tokens[rng.below(len(tokens))] = rng.choose(["x", "1.5", "--2", "0x1"], 1)[0]
+        lines[at] = " ".join(tokens)
+    elif kind == 5 and len(lines) > 1:  # a line repeated, vertices permuted
+        src = 1 + rng.below(len(lines) - 1)
+        verts = lines[src].split()
+        rng.shuffle(verts)
+        lines.insert(1 + rng.below(len(lines)), " ".join(verts))
+    elif kind == 6 and len(lines) > 1:  # an edge line deleted
+        del lines[1 + rng.below(len(lines) - 1)]
+    elif kind == 7:  # an edge line added
+        verts = [str(v) for v in rng.choose(list(range(n)), min(r, n))]
+        lines.insert(1 + rng.below(len(lines)), " ".join(verts))
+    elif kind == 8:  # comments and blank lines
+        lines[at] += rng.choose(["  # note", "#", " # 1 2 3"], 1)[0]
+        lines.insert(rng.below(len(lines) + 1), rng.choose(["", "   ", "# c", "\t"], 1)[0])
+    elif kind == 9:  # '\r\n' endings
+        lines = [line + "\r" for line in lines]
+    elif kind == 10:  # every line a comment
+        lines = ["# " + line for line in lines]
+    if rng.below(2):
+        header = lines[0].split()
+        if len(header) == 3:
+            header[2] = str(len(lines) - 1)
+            lines[0] = " ".join(header)
+    return lines
+
+
+class TestParseMatchesReference:
+    """``parse`` against ``reference_parse`` on seeded random hosts and one
+    mutation of each host's text: an equal host, or a ``ParseError`` with
+    the same message and line, including which of two faults is named."""
+
+    def test_random_hosts_and_mutations(self):
+        rng = SplitMix64(0x9A25E)
+        faults = 0
+        for case in range(600):
+            n = 1 + rng.below(12)
+            r = 2 + rng.below(3)
+            if r > n:
+                H = Hypergraph(n, r, [])
+            else:
+                H = binomial(n, r, rng.random(), seed=rng.next_u64())
+            text = serialize(H)
+            assert parse(text) == H
+            lines = _mutate(text.split("\n")[:-1], n, r, rng)
+            mutated = "\n".join(lines) + rng.choose(["\n", ""], 1)[0]
+            expected = _parse_outcome(reference_parse, mutated)
+            assert _parse_outcome(parse, mutated) == expected, (case, mutated)
+            faults += not isinstance(expected, Hypergraph)
+        assert 200 < faults < 550  # both outcomes are exercised
