@@ -4,8 +4,8 @@ arguments, including the seed."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from itertools import chain, combinations
+from typing import Iterator, Optional
 
 from .hypergraph import Hypergraph, check_codegree_condition
 from .rng import SplitMix64, derive_seed
@@ -28,14 +28,17 @@ def two_cliques(n: int, r: int) -> Hypergraph:
     Disconnected by construction, with minimum degree C(n/2 - 1, r - 1);
     the standard family with no spanning cycle despite high degrees.
     """
+    return Hypergraph(n, r, _two_clique_edges(n, r))
+
+
+def _two_clique_edges(n: int, r: int) -> Iterator[tuple]:
+    """The edges of two_cliques(n, r), in its order."""
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
     if n // 2 < r:
         raise ValueError(f"each side needs at least r={r} vertices, got n={n}")
     half = n // 2
-    edges = list(combinations(range(half), r))
-    edges += list(combinations(range(half, n), r))
-    return Hypergraph(n, r, edges)
+    return chain(combinations(range(half), r), combinations(range(half, n), r))
 
 
 def two_cliques_matching(n: int, seed: int = 0) -> Hypergraph:
@@ -47,6 +50,7 @@ def two_cliques_matching(n: int, seed: int = 0) -> Hypergraph:
     """
     if n % 6 != 0:
         raise ValueError(f"n must be divisible by 6, got {n}")
+    cliques = _two_clique_edges(n, 3)
     rng = SplitMix64(seed)
     half = n // 2
     splits = [1] * (n // 6) + [2] * (n // 6)
@@ -59,12 +63,10 @@ def two_cliques_matching(n: int, seed: int = 0) -> Hypergraph:
     li = ri = 0
     for take_left in splits:
         take_right = 3 - take_left
-        edge = left[li : li + take_left] + right[ri : ri + take_right]
+        matching.append(left[li : li + take_left] + right[ri : ri + take_right])
         li += take_left
         ri += take_right
-        matching.append(tuple(sorted(edge)))
-    base = two_cliques(n, 3)
-    return Hypergraph(n, 3, list(base.edges) + matching)
+    return Hypergraph(n, 3, chain(cliques, matching))
 
 
 def binomial(n: int, r: int, p: float, seed: int = 0) -> Hypergraph:
@@ -75,8 +77,7 @@ def binomial(n: int, r: int, p: float, seed: int = 0) -> Hypergraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = SplitMix64(seed)
-    edges = [e for e in combinations(range(n), r) if rng.random() < p]
-    return Hypergraph(n, r, edges)
+    return Hypergraph(n, r, (e for e in combinations(range(n), r) if rng.random() < p))
 
 
 def degree_condition_random(

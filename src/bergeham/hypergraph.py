@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rng import SplitMix64
@@ -28,6 +28,37 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class EdgeError(ValueError):
+    """An edge the constructor rejects. ``index`` is its position in the
+    input, ``kind`` one of "arity", "range" and "duplicate"; a duplicate
+    also gives ``first``, the position of the edge it repeats."""
+
+    def __init__(
+        self, index: int, kind: str, edge: tuple, message: str, first: Optional[int] = None
+    ):
+        super().__init__(message)
+        self.index = index
+        self.kind = kind
+        self.edge = edge
+        self.first = first
+
+
+def _checked(n: int, r: int, edges: Iterable[Sequence[int]]) -> Iterator[tuple]:
+    """Each edge as a sorted tuple, once it has r distinct vertices of
+    0..n-1 and differs from every edge before it."""
+    first_at: dict = {}
+    for idx, e in enumerate(edges):
+        tup = tuple(sorted(e))
+        if len(tup) != r or len(set(tup)) != r:
+            raise EdgeError(idx, "arity", tup, f"edge {tuple(e)} does not have {r} distinct vertices")
+        if tup[0] < 0 or tup[-1] >= n:
+            raise EdgeError(idx, "range", tup, f"edge {tup} has a vertex out of range 0..{n - 1}")
+        first = first_at.setdefault(tup, idx)
+        if first != idx:
+            raise EdgeError(idx, "duplicate", tup, f"duplicate edge {tup}", first)
+        yield tup
 
 
 class VertexSet:
@@ -91,30 +122,28 @@ class Hypergraph:
     """Immutable r-uniform hypergraph with a per-vertex incidence index."""
 
     def __init__(self, n: int, r: int, edges: Iterable[Sequence[int]]):
+        """Each edge is sorted, checked and indexed as it arrives, so
+        ``edges`` may be any iterable, read once. A rejected edge raises
+        ``EdgeError`` with its position in ``edges``."""
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
         if r < 2:
             raise ValueError(f"uniformity must be at least 2, got r={r}")
+        self._store(n, r, _checked(n, r, edges))
+
+    def _store(self, n: int, r: int, edges: Iterable[tuple]) -> None:
+        """Keep canonical edges in order, with each vertex's edge ids."""
         self.n = n
         self.r = r
-        canon = []
-        seen = set()
-        for e in edges:
-            tup = tuple(sorted(e))
-            if len(tup) != r or len(set(tup)) != r:
-                raise ValueError(f"edge {tuple(e)} does not have {r} distinct vertices")
-            if tup[0] < 0 or tup[-1] >= n:
-                raise ValueError(f"edge {tup} has a vertex out of range 0..{n - 1}")
-            if tup in seen:
-                raise ValueError(f"duplicate edge {tup}")
-            seen.add(tup)
-            canon.append(tup)
-        self.edges: tuple = tuple(canon)
         incidence = [[] for _ in range(n)]
-        for idx, e in enumerate(self.edges):
+        add = [ids.append for ids in incidence]
+        kept = []
+        for idx, e in enumerate(edges):
+            kept.append(e)
             for v in e:
-                incidence[v].append(idx)
-        self.incidence: tuple = tuple(tuple(lst) for lst in incidence)
+                add[v](idx)
+        self.edges: tuple = tuple(kept)
+        self.incidence: tuple = tuple(map(tuple, incidence))
 
     # -- basic queries ----------------------------------------------------
 
@@ -191,8 +220,17 @@ class Hypergraph:
 
     def subgraph(self, edge_ids: Iterable[int]) -> "Hypergraph":
         """New hypergraph on the same vertex set keeping the given edges,
-        in the given order (edge identities are re-issued 0,1,2,...)."""
-        return Hypergraph(self.n, self.r, [self.edges[i] for i in edge_ids])
+        in the given order (edge identities are re-issued 0,1,2,...).
+        Each id must be a distinct one of 0..m-1."""
+        ids = tuple(edge_ids)
+        m = len(self.edges)
+        if ids and not (0 <= min(ids) and max(ids) < m):
+            raise ValueError(f"edge ids must be in 0..{m - 1}")
+        if len(set(ids)) != len(ids):
+            raise ValueError("edge ids must be distinct")
+        sub = Hypergraph.__new__(Hypergraph)
+        sub._store(self.n, self.r, map(self.edges.__getitem__, ids))
+        return sub
 
     # -- connectivity ------------------------------------------------------
 
@@ -438,15 +476,31 @@ def check_min_degree_conditions(H: Hypergraph, eps: float) -> MinDegreeReport:
 # Lines are UTF-8 with '\n' endings; '#' starts a comment.
 
 
+def _data_lines(text: str, chunk: int = 1 << 16) -> Iterator[tuple]:
+    """(line number, content) of each line that holds more than a comment.
+    The text is split a chunk of about ``chunk`` characters at a time, so
+    the lines of a large host are never all held at once."""
+    lineno = 0
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start + chunk)
+        if end < 0:
+            end = len(text)
+        for raw in text[start:end].split("\n"):
+            lineno += 1
+            body = raw.split("#", 1)[0].strip()
+            if body:
+                yield lineno, body
+        start = end + 1
+
+
 def parse(text: str) -> Hypergraph:
-    rows = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body))
-    if not rows:
+    """The host a text describes. Edge lines are streamed into the
+    constructor, which checks each once; a fault is named by its line."""
+    rows = _data_lines(text)
+    header_line, header = next(rows, (1, ""))
+    if not header:
         raise ParseError(1, "missing header line 'n r m'")
-    header_line, header = rows[0]
     parts = header.split()
     if len(parts) != 3:
         raise ParseError(header_line, f"header must be 'n r m', got {header!r}")
@@ -456,31 +510,38 @@ def parse(text: str) -> Hypergraph:
         raise ParseError(header_line, f"header must be three integers, got {header!r}")
     if n < 1 or r < 2 or m < 0:
         raise ParseError(header_line, f"need n >= 1, r >= 2, m >= 0, got {header!r}")
-    if len(rows) - 1 != m:
-        raise ParseError(
-            rows[-1][0], f"expected {m} edge lines, found {len(rows) - 1}"
-        )
-    edges = []
-    seen = {}
-    for lineno, body in rows[1:]:
-        try:
-            verts = tuple(int(p) for p in body.split())
-        except ValueError:
-            raise ParseError(lineno, f"edge line must be integers, got {body!r}")
-        if len(verts) != r or len(set(verts)) != r:
-            raise ParseError(lineno, f"edge must have {r} distinct vertices, got {body!r}")
-        if min(verts) < 0 or max(verts) >= n:
-            raise ParseError(lineno, f"vertex out of range 0..{n - 1} in {body!r}")
-        key = tuple(sorted(verts))
-        if key in seen:
-            raise ParseError(lineno, f"duplicate edge {key} (first at line {seen[key]})")
-        seen[key] = lineno
-        edges.append(verts)
-    return Hypergraph(n, r, edges)
+
+    def vertex_rows():
+        for lineno, body in rows:
+            try:
+                yield tuple(map(int, body.split()))
+            except ValueError:
+                raise ParseError(lineno, f"edge line must be integers, got {body!r}") from None
+
+    fault = None
+    try:
+        H = Hypergraph(n, r, vertex_rows())
+        if H.num_edges == m:
+            return H
+    except (ParseError, EdgeError) as exc:
+        fault = exc
+    # A wrong edge count is named before any fault in an edge line.
+    lines = list(_data_lines(text))[1:]
+    if len(lines) != m:
+        last = lines[-1][0] if lines else header_line
+        raise ParseError(last, f"expected {m} edge lines, found {len(lines)}")
+    if isinstance(fault, EdgeError):
+        lineno, body = lines[fault.index]
+        if fault.kind == "duplicate":
+            message = f"duplicate edge {fault.edge} (first at line {lines[fault.first][0]})"
+        elif fault.kind == "range":
+            message = f"vertex out of range 0..{n - 1} in {body!r}"
+        else:
+            message = f"edge must have {r} distinct vertices, got {body!r}"
+        raise ParseError(lineno, message) from None
+    raise fault
 
 
 def serialize(H: Hypergraph) -> str:
-    lines = [f"{H.n} {H.r} {H.num_edges}"]
-    for e in H.edges:
-        lines.append(" ".join(map(str, e)))
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%d"] * H.r)
+    return "\n".join(chain([f"{H.n} {H.r} {H.num_edges}"], (row % e for e in H.edges), [""]))

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,9 +10,11 @@ from bergeham.hypergraph import (
     VERIFIED,
     VIOLATED,
     CapacityError,
+    EdgeError,
     Hypergraph,
     ParseError,
     VertexSet,
+    _data_lines,
     check_codegree_condition,
     check_min_degree_conditions,
     is_expander,
@@ -51,6 +55,39 @@ class TestConstruction:
     def test_rejects_duplicate_edges_as_sets(self):
         with pytest.raises(ValueError, match="duplicate"):
             Hypergraph(4, 3, [(0, 1, 2), (2, 1, 0)])
+
+    def test_rejection_names_the_edge_position(self):
+        with pytest.raises(EdgeError) as info:
+            Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (2, 1, 0)])
+        assert str(info.value) == "duplicate edge (0, 1, 2)"
+        assert (info.value.index, info.value.first) == (2, 0)
+        with pytest.raises(EdgeError) as info:
+            Hypergraph(4, 3, [(0, 1, 2), (1, 2, 4)])
+        assert (info.value.index, info.value.kind) == (1, "range")
+
+    def test_one_shot_iterator_gives_the_same_host(self):
+        edges = [(3, 1, 0), (0, 2, 4), (1, 2, 3)]
+        assert Hypergraph(5, 3, iter(edges)) == Hypergraph(5, 3, edges)
+        H = complete(7, 3)
+        assert Hypergraph(7, 3, (e for e in combinations(range(7), 3))) == H
+
+
+class TestSubgraph:
+    def test_keeps_given_order_and_reissues_ids(self):
+        H = complete(5, 3)
+        sub = H.subgraph([4, 0, 7])
+        assert sub.edges == (H.edges[4], H.edges[0], H.edges[7])
+        assert sub.incidence == Hypergraph(5, 3, sub.edges).incidence
+
+    @pytest.mark.parametrize(
+        "ids,match",
+        [([-1], "in 0..9"), ([0, 10], "in 0..9"), ([3, 1, 3], None)],
+        ids=["negative", "at_m", "repeated"],
+    )
+    def test_rejects_invalid_ids(self, ids, match):
+        # complete(5, 3) has m = 10 edges; id -1 used to pick the last one
+        with pytest.raises(ValueError, match=match):
+            complete(5, 3).subgraph(ids)
 
 
 class TestDegrees:
@@ -253,6 +290,34 @@ class TestTextFormat:
     def test_out_of_range_rejected(self):
         with pytest.raises(ParseError, match="out of range"):
             parse("3 3 1\n0 1 5\n")
+
+    def test_data_lines_across_chunk_boundaries(self):
+        rng = SplitMix64(7)
+        for _ in range(300):
+            text = "".join(rng.choose(list("\n\n1 #\r"), 1)[0] for _ in range(rng.below(30)))
+            expected = [
+                (lineno, raw.split("#", 1)[0].strip())
+                for lineno, raw in enumerate(text.split("\n"), start=1)
+                if raw.split("#", 1)[0].strip()
+            ]
+            for chunk in (1, 2, 3, 7, 1 << 16):
+                assert list(_data_lines(text, chunk)) == expected
+
+    def test_parse_peak_memory_is_a_small_multiple_of_the_host(self):
+        # traced peak of parse over the traced size of the host it returns:
+        # 3.45 when every line, a duplicate map and an edge list were held
+        # next to the host, 1.68 when the lines are streamed
+        text = serialize(complete(40, 3))
+        gc.disable()
+        tracemalloc.start()
+        try:
+            H = parse(text)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert H.num_edges == math.comb(40, 3)
+        assert peak / size < 2.5
 
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(ParseError, match="edge lines"):
