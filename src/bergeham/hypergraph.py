@@ -31,33 +31,30 @@ class ParseError(ValueError):
 
 
 class EdgeError(ValueError):
-    """An edge the constructor rejects. ``index`` is its position in the
-    input, ``kind`` one of "arity", "range" and "duplicate"; a duplicate
-    also gives ``first``, the position of the edge it repeats."""
+    """An edge the constructor rejects: ``index`` is its position in the
+    input, ``kind`` one of "arity", "range" and "duplicate", ``edge`` the
+    edge sorted."""
 
-    def __init__(
-        self, index: int, kind: str, edge: tuple, message: str, first: Optional[int] = None
-    ):
+    def __init__(self, index: int, kind: str, edge: tuple, message: str):
         super().__init__(message)
         self.index = index
         self.kind = kind
         self.edge = edge
-        self.first = first
 
 
 def _checked(n: int, r: int, edges: Iterable[Sequence[int]]) -> Iterator[tuple]:
     """Each edge as a sorted tuple, once it has r distinct vertices of
     0..n-1 and differs from every edge before it."""
-    first_at: dict = {}
+    seen = set()
     for idx, e in enumerate(edges):
         tup = tuple(sorted(e))
         if len(tup) != r or len(set(tup)) != r:
             raise EdgeError(idx, "arity", tup, f"edge {tuple(e)} does not have {r} distinct vertices")
         if tup[0] < 0 or tup[-1] >= n:
             raise EdgeError(idx, "range", tup, f"edge {tup} has a vertex out of range 0..{n - 1}")
-        first = first_at.setdefault(tup, idx)
-        if first != idx:
-            raise EdgeError(idx, "duplicate", tup, f"duplicate edge {tup}", first)
+        if tup in seen:
+            raise EdgeError(idx, "duplicate", tup, f"duplicate edge {tup}")
+        seen.add(tup)
         yield tup
 
 
@@ -476,7 +473,7 @@ def check_min_degree_conditions(H: Hypergraph, eps: float) -> MinDegreeReport:
 # Lines are UTF-8 with '\n' endings; '#' starts a comment.
 
 
-def _data_lines(text: str, chunk: int = 1 << 16) -> Iterator[tuple]:
+def _data_lines(text: str, chunk: int = 1 << 14) -> Iterator[tuple]:
     """(line number, content) of each line that holds more than a comment.
     The text is split a chunk of about ``chunk`` characters at a time, so
     the lines of a large host are never all held at once."""
@@ -533,7 +530,8 @@ def parse(text: str) -> Hypergraph:
     if isinstance(fault, EdgeError):
         lineno, body = lines[fault.index]
         if fault.kind == "duplicate":
-            message = f"duplicate edge {fault.edge} (first at line {lines[fault.first][0]})"
+            first = next(k for k, b in lines if tuple(sorted(map(int, b.split()))) == fault.edge)
+            message = f"duplicate edge {fault.edge} (first at line {first})"
         elif fault.kind == "range":
             message = f"vertex out of range 0..{n - 1} in {body!r}"
         else:

@@ -60,7 +60,7 @@ class TestConstruction:
         with pytest.raises(EdgeError) as info:
             Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (2, 1, 0)])
         assert str(info.value) == "duplicate edge (0, 1, 2)"
-        assert (info.value.index, info.value.first) == (2, 0)
+        assert (info.value.index, info.value.kind) == (2, "duplicate")
         with pytest.raises(EdgeError) as info:
             Hypergraph(4, 3, [(0, 1, 2), (1, 2, 4)])
         assert (info.value.index, info.value.kind) == (1, "range")
@@ -300,13 +300,13 @@ class TestTextFormat:
                 for lineno, raw in enumerate(text.split("\n"), start=1)
                 if raw.split("#", 1)[0].strip()
             ]
-            for chunk in (1, 2, 3, 7, 1 << 16):
+            for chunk in (1, 2, 3, 7, 1 << 14):
                 assert list(_data_lines(text, chunk)) == expected
 
     def test_parse_peak_memory_is_a_small_multiple_of_the_host(self):
         # traced peak of parse over the traced size of the host it returns:
-        # 3.45 when every line, a duplicate map and an edge list were held
-        # next to the host, 1.68 when the lines are streamed
+        # 3.4 when every line, a duplicate map and an edge list were held
+        # next to the host, 1.5 when each edge is checked once as it is read
         text = serialize(complete(40, 3))
         gc.disable()
         tracemalloc.start()
@@ -317,7 +317,7 @@ class TestTextFormat:
             tracemalloc.stop()
             gc.enable()
         assert H.num_edges == math.comb(40, 3)
-        assert peak / size < 2.5
+        assert peak / size < 2.0
 
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(ParseError, match="edge lines"):
