@@ -475,8 +475,8 @@ def check_min_degree_conditions(H: Hypergraph, eps: float) -> MinDegreeReport:
 
 def _data_lines(text: str, chunk: int = 1 << 14) -> Iterator[tuple]:
     """(line number, content) of each line that holds more than a comment.
-    The text is split a chunk of about ``chunk`` characters at a time, so
-    the lines of a large host are never all held at once."""
+    The text is split into lines one chunk of about ``chunk`` characters at
+    a time, so the lines of a large host are never all held at once."""
     lineno = 0
     start = 0
     while start <= len(text):
