@@ -42,20 +42,22 @@ class EdgeError(ValueError):
         self.edge = edge
 
 
-def _checked(n: int, r: int, edges: Iterable[Sequence[int]]) -> Iterator[tuple]:
-    """Each edge as a sorted tuple, once it has r distinct vertices of
-    0..n-1 and differs from every edge before it."""
+def _canonical(n: int, r: int, edges: Iterable[Sequence[int]]) -> list:
+    """Each edge as a sorted tuple, in order, once it has r distinct
+    vertices of 0..n-1 and differs from every edge before it."""
+    kept = []
     seen = set()
-    for idx, e in enumerate(edges):
+    for e in edges:
         tup = tuple(sorted(e))
         if len(tup) != r or len(set(tup)) != r:
-            raise EdgeError(idx, "arity", tup, f"edge {tuple(e)} does not have {r} distinct vertices")
+            raise EdgeError(len(kept), "arity", tup, f"edge {tuple(e)} does not have {r} distinct vertices")
         if tup[0] < 0 or tup[-1] >= n:
-            raise EdgeError(idx, "range", tup, f"edge {tup} has a vertex out of range 0..{n - 1}")
+            raise EdgeError(len(kept), "range", tup, f"edge {tup} has a vertex out of range 0..{n - 1}")
         if tup in seen:
-            raise EdgeError(idx, "duplicate", tup, f"duplicate edge {tup}")
+            raise EdgeError(len(kept), "duplicate", tup, f"duplicate edge {tup}")
         seen.add(tup)
-        yield tup
+        kept.append(tup)
+    return kept
 
 
 class VertexSet:
@@ -119,27 +121,25 @@ class Hypergraph:
     """Immutable r-uniform hypergraph with a per-vertex incidence index."""
 
     def __init__(self, n: int, r: int, edges: Iterable[Sequence[int]]):
-        """Each edge is sorted, checked and indexed as it arrives, so
-        ``edges`` may be any iterable, read once. A rejected edge raises
+        """Each edge is sorted and checked once, as it is read, so ``edges``
+        may be any iterable, read once. A rejected edge raises
         ``EdgeError`` with its position in ``edges``."""
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
         if r < 2:
             raise ValueError(f"uniformity must be at least 2, got r={r}")
-        self._store(n, r, _checked(n, r, edges))
+        self._store(n, r, _canonical(n, r, edges))
 
-    def _store(self, n: int, r: int, edges: Iterable[tuple]) -> None:
+    def _store(self, n: int, r: int, edges: list) -> None:
         """Keep canonical edges in order, with each vertex's edge ids."""
         self.n = n
         self.r = r
         incidence = [[] for _ in range(n)]
         add = [ids.append for ids in incidence]
-        kept = []
         for idx, e in enumerate(edges):
-            kept.append(e)
             for v in e:
                 add[v](idx)
-        self.edges: tuple = tuple(kept)
+        self.edges: tuple = tuple(edges)
         self.incidence: tuple = tuple(map(tuple, incidence))
 
     # -- basic queries ----------------------------------------------------
@@ -226,7 +226,7 @@ class Hypergraph:
         if len(set(ids)) != len(ids):
             raise ValueError("edge ids must be distinct")
         sub = Hypergraph.__new__(Hypergraph)
-        sub._store(self.n, self.r, map(self.edges.__getitem__, ids))
+        sub._store(self.n, self.r, [self.edges[i] for i in ids])
         return sub
 
     # -- connectivity ------------------------------------------------------

@@ -306,7 +306,7 @@ class TestTextFormat:
     def test_parse_peak_memory_is_a_small_multiple_of_the_host(self):
         # traced peak of parse over the traced size of the host it returns:
         # 3.4 when every line, a duplicate map and an edge list were held
-        # next to the host, 1.5 when each edge is checked once as it is read
+        # next to the host, 1.3 when each edge is checked once as it is read
         text = serialize(complete(40, 3))
         gc.disable()
         tracemalloc.start()
