@@ -50,9 +50,11 @@ def _canonical(n: int, r: int, edges: Iterable[Sequence[int]]) -> list:
     for e in edges:
         tup = tuple(sorted(e))
         if len(tup) != r or len(set(tup)) != r:
-            raise EdgeError(len(kept), "arity", tup, f"edge {tuple(e)} does not have {r} distinct vertices")
+            message = f"edge {tuple(e)} does not have {r} distinct vertices"
+            raise EdgeError(len(kept), "arity", tup, message)
         if tup[0] < 0 or tup[-1] >= n:
-            raise EdgeError(len(kept), "range", tup, f"edge {tup} has a vertex out of range 0..{n - 1}")
+            message = f"edge {tup} has a vertex out of range 0..{n - 1}"
+            raise EdgeError(len(kept), "range", tup, message)
         if tup in seen:
             raise EdgeError(len(kept), "duplicate", tup, f"duplicate edge {tup}")
         seen.add(tup)

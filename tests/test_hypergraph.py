@@ -433,8 +433,9 @@ def _mutate(lines: list, n: int, r: int, rng: SplitMix64) -> list:
 
 class TestParseMatchesReference:
     """``parse`` against ``reference_parse`` on seeded random hosts and one
-    mutation of each host's text: an equal host, or a ``ParseError`` with
-    the same message and line, including which of two faults is named."""
+    or two mutations of each host's text: an equal host, or a
+    ``ParseError`` with the same message and line, including which of two
+    faults is named."""
 
     def test_random_hosts_and_mutations(self):
         rng = SplitMix64(0x9A25E)
@@ -449,6 +450,8 @@ class TestParseMatchesReference:
             text = serialize(H)
             assert parse(text) == H
             lines = _mutate(text.split("\n")[:-1], n, r, rng)
+            if rng.below(3) == 0:  # a second change, so that two faults meet
+                lines = _mutate(lines, n, r, rng)
             mutated = "\n".join(lines) + rng.choose(["\n", ""], 1)[0]
             expected = _parse_outcome(reference_parse, mutated)
             assert _parse_outcome(parse, mutated) == expected, (case, mutated)
