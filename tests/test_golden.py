@@ -19,8 +19,9 @@ bridge, so that no search can close them.
 Budgets include 0 and small values that run out mid-search.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints the recorded and
-the current digest of every ``CASES`` and ``EFFORT_FREE`` entry, flags
-the ones that moved, and exits 1 if any did.
+the current digest of every ``CASES``, ``EFFORT_FREE``, ``CHECKS`` and
+``SAMPLED_CHECKS`` entry and of the ``is_expander`` calls, flags the ones
+that moved, and exits 1 if any did.
 """
 
 import contextlib
@@ -35,6 +36,8 @@ from types import SimpleNamespace
 import pytest
 
 from bergeham.cli import main
+from bergeham.generators import binomial, complete, two_cliques
+from bergeham.hypergraph import is_expander
 
 HOSTS = {
     "K10": ["--family", "complete", "--n", "10"],
@@ -47,6 +50,11 @@ HOSTS = {
     "B14": ["--family", "binomial", "--n", "14", "--p", "0.25", "--seed", "2"],
     "B15": ["--family", "binomial", "--n", "15", "--p", "0.2", "--seed", "112"],
     "B16": ["--family", "binomial", "--n", "16", "--p", "0.15", "--seed", "3"],
+    "E6": ["--family", "binomial", "--n", "6", "--p", "0"],
+    "K5": ["--family", "complete", "--n", "5"],
+    "TC8": ["--family", "two_cliques", "--n", "8"],
+    "K12": ["--family", "complete", "--n", "12"],
+    "K60R2": ["--family", "complete", "--n", "60", "--r", "2"],
 }
 
 # (command, host, extra arguments, sha256 of "exit=<code>\n" + stdout)
@@ -246,9 +254,165 @@ def test_golden_without_effort(command, host, extra, digest, host_files, capsys)
     assert run_case_without_effort(command, host_files[host], extra, capsys) == digest
 
 
+# The structural property checks: exact ``props`` and ``thresholds``
+# output, digested whole as in ``CASES``. Between them and
+# ``SAMPLED_CHECKS`` they reach every status each property can report in
+# each mode: an edgeless host (E6) verifies P4 and P5 and violates P7,
+# complete(5, 3) at eps 0.9 makes P6 non-vacuous and violated, and
+# complete(60, 2) at eps 0.99 is the smallest kind of host on which a
+# sampled P6 has draws that all hold.
+CHECKS = [
+    ("props", "E6", ["--eps", "0.3"],
+     "819d2b6ed9be0da6cdfdfafe60f0a5366b55727fb0da013420ab679a85c228ae"),
+    ("props", "K5", ["--eps", "0.9"],
+     "848e7a2c856ef55808524240209b31f3db7ae47f4cdb4bdcdec34b151bbca182"),
+    ("props", "TC8", ["--eps", "0.5"],
+     "f6d5030c3e129eea0f0e075063f411e0b6f1bf255568bf36e87a4197e2cc62c0"),
+    ("props", "K12", ["--eps", "0.5"],
+     "790c37aebf96cddda67963fb3286186f83082ab39da5aee559be755a59a46a46"),
+    ("props", "B12", ["--eps", "0.3"],
+     "b6c1caa3dcb269ad60c0a94e885995251355c410471f78fd5835ebd8d4fd8c7d"),
+    ("props", "B12", ["--eps", "0.3", "--d0", "1"],
+     "07a7bb8947124a49714426124b3d79efc0ff9d34d5e7664b5d7c7c075391aa61"),
+    ("thresholds", "E6", ["--eps", "0.3"],
+     "5f8bd21203fdbe78b3339b6c8102f5a67cea53316e7b8797aa7aea63e498d985"),
+    ("thresholds", "K5", ["--eps", "0.9"],
+     "83ee34bf7468e434746f4c888548365506e3b395f1c09586a1f623eee8017d09"),
+    ("thresholds", "TC8", ["--eps", "0.5"],
+     "397ad8bf34e13d7e0821988500549f4ef13d581cd357b97f59acce34c8238bf6"),
+    ("thresholds", "K12", ["--eps", "0.5"],
+     "ec782edd7a9dba42bbbfbba82f57d80aa4de48b358fd965afefc1c0b3e0f0e1b"),
+    ("thresholds", "B12", ["--eps", "0.3"],
+     "4faf6dd4a5fb8bc84a6883bf152b8ef3fd0c76f6da73a2ffad0d3ee17b4d1063"),
+]
+
+# Sampled ``props`` output with P7 dropped from its JSON line (digested
+# like ``EFFORT_FREE``): P4-P6 draw from one seeded stream, in that order,
+# and must keep every draw; P7 is decided exactly, not sampled.
+SAMPLED_CHECKS = [
+    ("props", "E6",
+     ["--eps", "0.3", "--mode", "sampled", "--trials", "50", "--seed", "1"],
+     "5c6f072eecccf29de868df8593091ba38ef6fb9fb5f737bb755ccd32a240de90"),
+    ("props", "K5", ["--eps", "0.9", "--mode", "sampled", "--seed", "2"],
+     "62035e343eb804d1b5c20a028fe8ecb48d1601142c3bb582b094441f9b7f0841"),
+    ("props", "TC8", ["--eps", "0.5", "--mode", "sampled", "--seed", "3"],
+     "c221c3bc82bfb871d55f9a41d7e2d58d5e14f10f2d2b65932a7cdd3f335477ae"),
+    ("props", "K12", ["--eps", "0.5", "--mode", "sampled"],
+     "51c8849d6104d6045e90c08513dbbd3b8cb641f1a2dc24d737a5275799aec6b3"),
+    ("props", "B12",
+     ["--eps", "0.3", "--mode", "sampled", "--trials", "300", "--seed", "4"],
+     "3a3fcc7141e71deff9a197f67c437f8e202bd30a475f50e78210129508fdd371"),
+    ("props", "B12", ["--eps", "0.3", "--d0", "1", "--mode", "sampled", "--seed", "5"],
+     "4f7c8cccd312003f0a210463690dcd040bc1d14f2bd94667b0f46ddbae66c83b"),
+    ("props", "K60R2",
+     ["--eps", "0.99", "--mode", "sampled", "--trials", "20", "--seed", "6"],
+     "150c8b88399dda3379bb7cb4fd6cf117a1ee16162338eaef7ede7e3b1af9faea"),
+]
+
+
+def run_case_without_p7(command, host_file, extra, capsys) -> str:
+    capsys.readouterr()
+    code = main([command, "--host", host_file, *extra])
+    lines = []
+    for line in capsys.readouterr().out.splitlines():
+        payload = json.loads(line)
+        payload.pop("P7", None)
+        lines.append(json.dumps(payload, sort_keys=True) + "\n")
+    return hashlib.sha256(f"exit={code}\n{''.join(lines)}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "command,host,extra,digest",
+    CHECKS,
+    ids=[f"{c}-{h}-{'_'.join(x)}" for c, h, x, _ in CHECKS],
+)
+def test_golden_checks(command, host, extra, digest, host_files, capsys):
+    assert run_case(command, host_files[host], extra, capsys) == digest
+
+
+@pytest.mark.parametrize(
+    "command,host,extra,digest",
+    SAMPLED_CHECKS,
+    ids=[f"{c}-{h}-{'_'.join(x)}" for c, h, x, _ in SAMPLED_CHECKS],
+)
+def test_golden_sampled_checks(command, host, extra, digest, host_files, capsys):
+    assert run_case_without_p7(command, host_files[host], extra, capsys) == digest
+
+
+# Direct ``is_expander`` calls, exhaustive and sampled: (host, k, alpha,
+# exhaustive, trials, seed). One digest covers the JSON of every result in
+# turn; the calls reach ``verified``, ``violated`` and
+# ``no_counterexample``, and a sampled violation carries its ``trials``.
+EXPANDER_HOSTS = {
+    "K4": lambda: complete(4, 3),
+    "K8": lambda: complete(8, 3),
+    "K12": lambda: complete(12, 3),
+    "TC8": lambda: two_cliques(8, 3),
+    "E6": lambda: binomial(6, 3, 0.0, seed=0),
+    "B8": lambda: binomial(8, 3, 0.25, seed=3),
+    "B12": lambda: binomial(12, 3, 0.06, seed=6),
+}
+EXPANDER_CALLS = [
+    (host, k, alpha, exhaustive, 300, seed)
+    for host, k, alpha, seed in [
+        ("K4", 1, 2, 1), ("K4", 1, 2.5, 2), ("K8", 3, 1, 3), ("K8", 3, 2, 4),
+        ("K12", 2, 2, 5), ("K12", 4, 2, 6), ("TC8", 1, 2, 7), ("TC8", 4, 2, 8),
+        ("E6", 2, 2, 9), ("B8", 2, 1, 10), ("B8", 3, 2, 11), ("B12", 3, 1, 12),
+        ("B12", 4, 1, 13),
+    ]
+    for exhaustive in (True, False)
+]
+EXPANDER_DIGEST = (
+    "fe4e854ac3caf83da0fee090f40212ec34690fe595c42fd94ca80ce9792716dc"
+)
+
+
+def expander_digest() -> str:
+    hosts = {name: build() for name, build in EXPANDER_HOSTS.items()}
+    lines = []
+    for host, k, alpha, exhaustive, trials, seed in EXPANDER_CALLS:
+        res = is_expander(
+            hosts[host], k, alpha, exhaustive=exhaustive, trials=trials, seed=seed
+        )
+        lines.append(json.dumps(res.to_json(), sort_keys=True) + "\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def test_golden_expander_calls():
+    assert expander_digest() == EXPANDER_DIGEST
+
+
+def test_check_cases_reach_every_status(host_files, capsys):
+    """Each property reaches each status it can report in each mode. An
+    exact P6 that is not vacuous is never verified below n = 55, beyond
+    the exact guard, so exact P6 is verified only vacuously here."""
+    reached = set()
+    for table, mode in ((CHECKS, "exact"), (SAMPLED_CHECKS, "sampled")):
+        for command, host, extra, _ in table:
+            if command != "props":
+                continue
+            capsys.readouterr()
+            assert main([command, "--host", host_files[host], *extra]) == 0
+            for name, res in json.loads(capsys.readouterr().out).items():
+                reached.add((mode, name, res["status"]))
+    both = ("verified", "violated")
+    expected = {("exact", f"P{i}", s) for i in range(1, 8) for s in both}
+    expected |= {("sampled", f"P{i}", s) for i in (1, 2, 3, 6) for s in both}
+    expected |= {("sampled", f"P{i}", s) for i in (4, 5, 6)
+                 for s in ("violated", "no_counterexample")}
+    assert expected <= reached
+    hosts = {name: build() for name, build in EXPANDER_HOSTS.items()}
+    statuses = {
+        is_expander(hosts[h], k, a, exhaustive=x, trials=t, seed=s).status
+        for h, k, a, x, t, s in EXPANDER_CALLS
+    }
+    assert statuses == {"verified", "violated", "no_counterexample"}
+
+
 def report() -> int:
-    """Prints the recorded and the current digest of every ``CASES`` and
-    ``EFFORT_FREE`` entry, flagging the ones that moved; returns how many
+    """Prints the recorded and the current digest of every ``CASES``,
+    ``EFFORT_FREE``, ``CHECKS`` and ``SAMPLED_CHECKS`` entry and of the
+    ``is_expander`` calls, flagging the ones that moved; returns how many
     moved."""
     out = io.StringIO()
 
@@ -262,13 +426,18 @@ def report() -> int:
     capture = SimpleNamespace(readouterr=readouterr)
     tables = [("CASES", CASES, run_case)]
     tables.append(("EFFORT_FREE", EFFORT_FREE, run_case_without_effort))
+    tables.append(("CHECKS", CHECKS, run_case))
+    tables.append(("SAMPLED_CHECKS", SAMPLED_CHECKS, run_case_without_p7))
     rows = []
-    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stdout(out):
+    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
         files = write_hosts(Path(root))
         for table, cases, run in tables:
             for command, host, extra, digest in cases:
                 current = run(command, files[host], extra, capture)
                 rows.append((table, command, host, extra, digest, current))
+    current = expander_digest()
+    rows.append(("EXPANDER", "is_expander", "calls", [], EXPANDER_DIGEST, current))
     moved = 0
     for table, command, host, extra, digest, current in rows:
         flag = "ok" if current == digest else "MOVED"
