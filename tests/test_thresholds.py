@@ -3,8 +3,17 @@ import math
 import pytest
 
 from bergeham.generators import binomial, complete, two_cliques
-from bergeham.hypergraph import CapacityError, Hypergraph
+from bergeham.hypergraph import (
+    NO_COUNTEREXAMPLE,
+    VERIFIED,
+    VIOLATED,
+    CapacityError,
+    CheckResult,
+    Hypergraph,
+)
+from bergeham.rng import SplitMix64
 from bergeham.thresholds import (
+    _check_p7_exact,
     basic_thresholds,
     decay_bounds_report,
     decay_sum,
@@ -195,3 +204,66 @@ class TestPropertyReport:
 
     def test_default_d0_tiny_at_desk_scale(self):
         assert default_property_d0(40, 0.1) < 1e-6
+
+
+def reference_sample_p7(H, rng, eps, trials) -> CheckResult:
+    """The sampled P7 check that ``property_report`` ran before P7 was
+    decided exactly in both modes, kept verbatim as the reference that the
+    exact check must never miss a violation of."""
+    lo = eps * H.n / 6.0
+    sizes = [s for s in range(1, H.n // 2 + 1) if s >= lo]
+    if not sizes:
+        return CheckResult(VERIFIED, observed=None, bound=None)  # vacuous
+    vertices = list(range(H.n))
+    for _ in range(trials):
+        u_size = sizes[rng.below(len(sizes))]
+        U = set(rng.choose(vertices, u_size))
+        crossing = any(
+            0 < sum(1 for v in e if v in U) < len(e) for e in H.edges
+        )
+        if not crossing:
+            U_t = tuple(sorted(U))
+            W_t = tuple(v for v in vertices if v not in U)
+            return CheckResult(VIOLATED, witness=(U_t, W_t))
+    return CheckResult(NO_COUNTEREXAMPLE, trials=trials)
+
+
+def p7_hosts():
+    """Seeded sparse binomial hosts (n from 10 to 30), two-clique hosts and
+    edgeless hosts, each with the eps it is checked at."""
+    rng = SplitMix64(7)
+    for i in range(60):
+        n = 10 + rng.below(21)
+        degree = 0.5 + 2.5 * rng.random()  # expected vertex degree
+        H = binomial(n, 3, degree / math.comb(n - 1, 2), seed=i)
+        yield H, (0.1, 0.3, 0.6, 0.9)[i % 4]
+    for n in (8, 10, 12, 20, 30):
+        yield two_cliques(n, 3), 0.5
+        yield Hypergraph(n, 3, []), 0.3
+
+
+class TestP7AgainstSampler:
+    def test_sampler_violations_are_exact_violations(self):
+        found = 0
+        for i, (H, eps) in enumerate(p7_hosts()):
+            sampled = reference_sample_p7(H, SplitMix64(i), eps, 300)
+            exact = _check_p7_exact(H, eps)
+            if sampled.status == VIOLATED:
+                found += 1
+                assert exact.status == VIOLATED, (H, eps)
+        assert found >= 20  # the scan exercises violations, not only passes
+
+    def test_exact_witness_is_a_partition_without_crossing_edge(self):
+        violated = 0
+        for H, eps in p7_hosts():
+            res = _check_p7_exact(H, eps)
+            if res.status != VIOLATED:
+                continue
+            violated += 1
+            U, W = res.witness
+            assert sorted(U + W) == list(range(H.n))
+            assert eps * H.n / 6.0 <= len(U) <= H.n / 2.0
+            side = set(U)
+            for e in H.edges:
+                assert len({v in side for v in e}) == 1, (e, U)
+        assert violated >= 20
