@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations
+from functools import cached_property, reduce
+from itertools import chain, combinations, starmap
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rng import SplitMix64
@@ -60,6 +61,15 @@ def _canonical(n: int, r: int, edges: Iterable[Sequence[int]]) -> list:
         seen.add(tup)
         kept.append(tup)
     return kept
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """Bitmask of vertex ids known to be in range; ``VertexSet.of`` checks
+    them."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 class VertexSet:
@@ -189,13 +199,12 @@ class Hypergraph:
     @cached_property
     def edge_masks(self) -> tuple:
         """Per-edge vertex bitmask; hot-loop companion to ``edges``."""
-        masks = []
-        for e in self.edges:
-            m = 0
-            for v in e:
-                m |= 1 << v
-            masks.append(m)
-        return tuple(masks)
+        return tuple(map(vertex_mask, self.edges))
+
+    def meeting_once(self, mask: int) -> list:
+        """``edge_masks`` of the edges that meet the vertices in ``mask`` in
+        exactly one vertex, in edge order."""
+        return [m for m in self.edge_masks if (m & mask).bit_count() == 1]
 
     @cached_property
     def _edge_index(self) -> dict:
@@ -313,6 +322,44 @@ class CheckResult:
         }
 
 
+def subsets(pool: Sequence[int], sizes: Iterable[int]) -> Iterator[tuple]:
+    """(subset, its ``vertex_mask``) for every subset of ``pool`` with a
+    size in ``sizes``, size by size in ``combinations`` order: the cases of
+    an exact check."""
+    bits = [1 << v for v in pool]
+    return chain.from_iterable(
+        zip(combinations(pool, s), map(sum, combinations(bits, s))) for s in sizes
+    )
+
+
+def draw_subset(rng: SplitMix64, pool: Sequence[int], size: int) -> tuple:
+    """(subset, its ``vertex_mask``) for a uniform ``size``-subset of
+    ``pool``, sorted: a case of a sampled check."""
+    subset = tuple(sorted(rng.choose(pool, size)))
+    return subset, vertex_mask(subset)
+
+
+def first_violation(results: Iterable, trials: Optional[int] = None) -> CheckResult:
+    """The first violation in a stream of per-case results, each a violating
+    ``CheckResult`` or None for a case that holds.
+
+    A property check is one test run over cases that either enumerate
+    every instance (``trials`` None) or are ``trials`` random draws. The
+    stream is read lazily, so a sampled check stops drawing at its first
+    violation. Without one, exhaustive cases verify the property and drawn
+    ones report that no counterexample was found; sampled checks need at
+    least one draw.
+    """
+    if trials is not None and trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    for result in results:
+        if result is not None:
+            return result
+    if trials is None:
+        return CheckResult(VERIFIED)
+    return CheckResult(NO_COUNTEREXAMPLE, trials=trials)
+
+
 @dataclass(frozen=True)
 class MinDegreeReport:
     delta1_ok: bool
@@ -344,84 +391,54 @@ def is_expander(
 
     Exhaustive mode scans all (X, Y) pairs and either verifies or returns
     a violating pair; it refuses hosts above ``size_guard``. Sampled mode
-    draws ``trials`` random pairs and can only ever produce a witness or
-    report that none was found.
+    draws ``trials`` (at least one) random pairs and can only ever produce
+    a witness, which carries ``trials``, or report that none was found.
     """
     if not 1 <= k <= H.n:
         raise ValueError(f"k must be in 1..{H.n}, got {k}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if exhaustive:
-        if H.n > size_guard:
-            raise CapacityError(
-                f"exhaustive expander check needs n <= {size_guard}, got n={H.n}"
-            )
-        for x_size in range(1, k + 1):
-            for X in combinations(range(H.n), x_size):
-                witness = _expander_violation(H, X, alpha)
-                if witness is not None:
-                    return CheckResult(VIOLATED, witness=witness)
-        return CheckResult(VERIFIED)
-    rng = SplitMix64(seed)
-    vertices = list(range(H.n))
-    for _ in range(trials):
-        x_size = 1 + rng.below(k)
-        X = tuple(sorted(rng.choose(vertices, x_size)))
-        max_y = _strictly_below(alpha * x_size)
-        rest = [v for v in vertices if v not in X]
-        y_size = rng.below(min(max_y, len(rest)) + 1)
-        Y = tuple(sorted(rng.choose(rest, y_size)))
-        if not _has_expanding_edge(H, X, Y):
-            return CheckResult(VIOLATED, witness=(X, Y), trials=trials)
-    return CheckResult(NO_COUNTEREXAMPLE, trials=trials)
+    if exhaustive and H.n > size_guard:
+        raise CapacityError(
+            f"exhaustive expander check needs n <= {size_guard}, got n={H.n}"
+        )
+    vertices = range(H.n)
+
+    def exhaustive_cases():
+        # a violating Y hits every edge that meets X once: only the other
+        # vertices of those edges matter, smallest Y first
+        for X, xmask in subsets(vertices, range(1, k + 1)):
+            touching = H.meeting_once(xmask)
+            relevant = list(VertexSet(H.n, reduce(or_, touching, 0) & ~xmask))
+            y_cap = min(_strictly_below(alpha * len(X)), len(relevant))
+            for Y, ymask in subsets(relevant, range(y_cap + 1)):
+                yield X, Y, ymask, touching
+
+    def drawn_cases():
+        rng = SplitMix64(seed)
+        for _ in range(trials):
+            X, xmask = draw_subset(rng, vertices, 1 + rng.below(k))
+            rest = [v for v in vertices if v not in X]
+            y_cap = min(_strictly_below(alpha * len(X)), len(rest))
+            Y, ymask = draw_subset(rng, rest, rng.below(y_cap + 1))
+            yield X, Y, ymask, H.meeting_once(xmask)
+
+    drawn = None if exhaustive else trials
+
+    def violation(X, Y, ymask, touching):
+        if all(m & ymask for m in touching):
+            # a sampled witness carries the number of draws it was among
+            return CheckResult(VIOLATED, witness=(X, Y), trials=drawn or 0)
+        return None
+
+    cases = exhaustive_cases() if exhaustive else drawn_cases()
+    return first_violation(starmap(violation, cases), drawn)
 
 
 def _strictly_below(bound: float) -> int:
     """Largest integer strictly below a positive real bound."""
     c = math.ceil(bound)
     return c - 1 if c == bound else math.floor(bound)
-
-
-def _has_expanding_edge(H: Hypergraph, X, Y) -> bool:
-    xmask = 0
-    for v in X:
-        xmask |= 1 << v
-    ymask = 0
-    for v in Y:
-        ymask |= 1 << v
-    for emask in H.edge_masks:
-        if (emask & xmask).bit_count() == 1 and emask & ymask == 0:
-            return True
-    return False
-
-
-def _expander_violation(H: Hypergraph, X, alpha):
-    """Smallest-Y violation for this X, or None. A violating Y must hit
-    every edge that meets X exactly once, so only vertices of those edges
-    matter."""
-    xmask = 0
-    for v in X:
-        xmask |= 1 << v
-    touching = [
-        emask & ~xmask
-        for emask in H.edge_masks
-        if (emask & xmask).bit_count() == 1
-    ]
-    max_y = _strictly_below(alpha * len(X))
-    if not touching:
-        return (tuple(X), ())
-    relevant_mask = 0
-    for m in touching:
-        relevant_mask |= m
-    relevant = list(VertexSet(H.n, relevant_mask))
-    for y_size in range(1, min(max_y, len(relevant)) + 1):
-        for Y in combinations(relevant, y_size):
-            ymask = 0
-            for v in Y:
-                ymask |= 1 << v
-            if all(m & ymask for m in touching):
-                return (tuple(X), tuple(Y))
-    return None
 
 
 # -- degree-condition checks -------------------------------------------------

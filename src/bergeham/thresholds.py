@@ -9,16 +9,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import starmap
+from operator import or_
 from typing import Optional
 
 from .hypergraph import (
-    NO_COUNTEREXAMPLE,
     VERIFIED,
     VIOLATED,
     CapacityError,
     CheckResult,
     Hypergraph,
+    VertexSet,
+    draw_subset,
+    first_violation,
+    subsets,
 )
 from .rng import SplitMix64
 
@@ -247,14 +252,6 @@ def default_property_d0(n: int, eps: float) -> float:
     return eps**8 * math.log(n)
 
 
-def _edges_multi_meeting(H: Hypergraph, members: set) -> list:
-    return [
-        i
-        for i, e in enumerate(H.edges)
-        if sum(1 for v in e if v in members) >= 2
-    ]
-
-
 def _check_p1(H: Hypergraph, eps: float) -> CheckResult:
     bound = (10.0 / eps) * math.log(H.n)
     worst = max(range(H.n), key=H.degree)
@@ -294,70 +291,105 @@ def _check_p3(H: Hypergraph, d0: float) -> CheckResult:
     return CheckResult(VERIFIED)
 
 
-def _check_p4_exact(H: Hypergraph, size_cap: int) -> CheckResult:
-    ln_n = math.log(H.n)
-    for u_size in range(1, size_cap + 1):
-        bound = u_size * ln_n**0.75
-        for U in combinations(range(H.n), u_size):
-            count = len(_edges_multi_meeting(H, set(U)))
-            if count > bound:
-                return CheckResult(VIOLATED, witness=U, observed=count, bound=bound)
-    return CheckResult(VERIFIED)
+# P4-P6 each run one test over cases that either enumerate every vertex
+# subset (``rng`` None, exact mode) or are ``trials`` lazy draws from
+# ``rng``; ``first_violation`` turns them into a verdict. The draws share
+# one stream in the order P4, P5, P6, so a sampled report depends on every
+# draw each check makes, including where it stops.
 
 
-def _count_u_once_meeting_w(H: Hypergraph, U: set, W: set) -> int:
-    count = 0
-    for e in H.edges:
-        in_u = sum(1 for v in e if v in U)
-        if in_u == 1 and any(v in W for v in e):
-            count += 1
-    return count
+def _check_p4(H: Hypergraph, size_cap: int, rng, trials) -> CheckResult:
+    """Every U of at most ``size_cap`` vertices meets at most
+    |U| ln^(3/4) n edges in two or more vertices."""
+    per_vertex = math.log(H.n) ** 0.75
+    vertices = range(H.n)
+    if rng is None:
+        cases = subsets(vertices, range(1, size_cap + 1))
+    else:
+        cases = (
+            draw_subset(rng, vertices, 1 + rng.below(size_cap)) for _ in range(trials)
+        )
+
+    def violation(U, umask):
+        bound = len(U) * per_vertex
+        count = len([m for m in H.edge_masks if (m & umask).bit_count() >= 2])
+        if count > bound:
+            return CheckResult(VIOLATED, witness=U, observed=count, bound=bound)
+        return None
+
+    return first_violation(starmap(violation, cases), trials)
 
 
-def _check_p5_exact(H: Hypergraph, eps: float, size_cap: int) -> CheckResult:
-    ln_n = math.log(H.n)
-    for u_size in range(1, size_cap + 1):
-        bound = 0.5 * eps * ln_n * u_size
-        for U in combinations(range(H.n), u_size):
-            u_set = set(U)
-            once = [e for e in H.edges if sum(1 for v in e if v in u_set) == 1]
-            if len(once) <= bound:
+def _check_p5(H: Hypergraph, eps: float, size_cap: int, rng, trials) -> CheckResult:
+    """For every U of at most ``size_cap`` vertices and W of at most 3|U|
+    others, at most (eps/2) ln n |U| edges meet U once and also meet W."""
+    per_vertex = 0.5 * eps * math.log(H.n)
+    vertices = range(H.n)
+
+    def enumerated():
+        for U, umask in subsets(vertices, range(1, size_cap + 1)):
+            once = H.meeting_once(umask)
+            if len(once) <= per_vertex * len(U):
                 continue  # even W = everything cannot violate
-            relevant = sorted({v for e in once for v in e if v not in u_set})
-            w_cap = min(3 * u_size, len(relevant))
-            for w_size in range(1, w_cap + 1):
-                for W in combinations(relevant, w_size):
-                    w_set = set(W)
-                    count = sum(1 for e in once if any(v in w_set for v in e))
-                    if count > bound:
-                        return CheckResult(
-                            VIOLATED, witness=(U, W), observed=count, bound=bound
-                        )
-    return CheckResult(VERIFIED)
+            relevant = list(VertexSet(H.n, reduce(or_, once, 0) & ~umask))
+            w_sizes = range(1, min(3 * len(U), len(relevant)) + 1)
+            for W, wmask in subsets(relevant, w_sizes):
+                yield U, W, wmask, once
+
+    def drawn():
+        for _ in range(trials):
+            u_size = 1 + rng.below(size_cap)
+            U, umask = draw_subset(rng, vertices, u_size)
+            rest = [v for v in vertices if v not in U]
+            w_cap = min(3 * u_size, len(rest))
+            if w_cap >= 1:
+                W, wmask = draw_subset(rng, rest, 1 + rng.below(w_cap))
+                yield U, W, wmask, H.meeting_once(umask)
+
+    def violation(U, W, wmask, once):
+        bound = per_vertex * len(U)
+        count = len([m for m in once if m & wmask])
+        if count > bound:
+            return CheckResult(VIOLATED, witness=(U, W), observed=count, bound=bound)
+        return None
+
+    cases = enumerated() if rng is None else drawn()
+    return first_violation(starmap(violation, cases), trials)
 
 
-def _check_p6_exact(H: Hypergraph, eps: float, u_size: int) -> CheckResult:
+def _check_p6(H: Hypergraph, eps: float, u_size: int, rng, trials) -> CheckResult:
+    """For every U of ``u_size`` vertices and disjoint W of
+    floor((1 - eps/2) n), at least n ln^(1/3) n edges meet U once and W in
+    all their other vertices. Vacuous when no such pair fits."""
     w_size = math.floor((1.0 - eps / 2.0) * H.n)
-    if u_size < 1 or u_size + w_size > H.n:
+    if u_size + w_size > H.n:
         return CheckResult(VERIFIED, observed=None, bound=None)  # vacuous
     bound = H.n * math.log(H.n) ** (1.0 / 3.0)
-    r = H.r
-    for U in combinations(range(H.n), u_size):
-        u_set = set(U)
-        rest = [v for v in range(H.n) if v not in u_set]
-        for W in combinations(rest, w_size):
-            w_set = set(W)
-            count = 0
-            for e in H.edges:
-                in_u = sum(1 for v in e if v in u_set)
-                in_w = sum(1 for v in e if v in w_set)
-                if in_u == 1 and in_w == r - 1:
-                    count += 1
-            if count < bound:
-                return CheckResult(
-                    VIOLATED, witness=(U, W), observed=count, bound=bound
-                )
-    return CheckResult(VERIFIED)
+    others = H.r - 1
+    vertices = range(H.n)
+
+    def enumerated():
+        for U, umask in subsets(vertices, (u_size,)):
+            once = H.meeting_once(umask)
+            rest = [v for v in vertices if v not in U]
+            for W, wmask in subsets(rest, (w_size,)):
+                yield U, W, wmask, once
+
+    def drawn():
+        for _ in range(trials):
+            U, umask = draw_subset(rng, vertices, u_size)
+            rest = [v for v in vertices if v not in U]
+            W, wmask = draw_subset(rng, rest, w_size)
+            yield U, W, wmask, H.meeting_once(umask)
+
+    def violation(U, W, wmask, once):
+        count = len([m for m in once if (m & wmask).bit_count() == others])
+        if count < bound:
+            return CheckResult(VIOLATED, witness=(U, W), observed=count, bound=bound)
+        return None
+
+    cases = enumerated() if rng is None else drawn()
+    return first_violation(starmap(violation, cases), trials)
 
 
 def _check_p7_exact(H: Hypergraph, eps: float) -> CheckResult:
@@ -384,80 +416,6 @@ def _check_p7_exact(H: Hypergraph, eps: float) -> CheckResult:
     return CheckResult(VERIFIED)
 
 
-def _sample_p4(H, rng, size_cap, trials) -> CheckResult:
-    ln_n = math.log(H.n)
-    vertices = list(range(H.n))
-    for _ in range(trials):
-        u_size = 1 + rng.below(size_cap)
-        U = tuple(sorted(rng.choose(vertices, u_size)))
-        bound = u_size * ln_n**0.75
-        count = len(_edges_multi_meeting(H, set(U)))
-        if count > bound:
-            return CheckResult(VIOLATED, witness=U, observed=count, bound=bound)
-    return CheckResult(NO_COUNTEREXAMPLE, trials=trials)
-
-
-def _sample_p5(H, rng, eps, size_cap, trials) -> CheckResult:
-    ln_n = math.log(H.n)
-    vertices = list(range(H.n))
-    for _ in range(trials):
-        u_size = 1 + rng.below(size_cap)
-        U = tuple(sorted(rng.choose(vertices, u_size)))
-        rest = [v for v in vertices if v not in set(U)]
-        w_cap = min(3 * u_size, len(rest))
-        if w_cap < 1:
-            continue
-        w_size = 1 + rng.below(w_cap)
-        W = tuple(sorted(rng.choose(rest, w_size)))
-        bound = 0.5 * eps * ln_n * u_size
-        count = _count_u_once_meeting_w(H, set(U), set(W))
-        if count > bound:
-            return CheckResult(VIOLATED, witness=(U, W), observed=count, bound=bound)
-    return CheckResult(NO_COUNTEREXAMPLE, trials=trials)
-
-
-def _sample_p6(H, rng, eps, u_size, trials) -> CheckResult:
-    w_size = math.floor((1.0 - eps / 2.0) * H.n)
-    if u_size < 1 or u_size + w_size > H.n:
-        return CheckResult(VERIFIED, observed=None, bound=None)  # vacuous
-    bound = H.n * math.log(H.n) ** (1.0 / 3.0)
-    vertices = list(range(H.n))
-    r = H.r
-    for _ in range(trials):
-        U = tuple(sorted(rng.choose(vertices, u_size)))
-        rest = [v for v in vertices if v not in set(U)]
-        W = tuple(sorted(rng.choose(rest, w_size)))
-        u_set, w_set = set(U), set(W)
-        count = 0
-        for e in H.edges:
-            in_u = sum(1 for v in e if v in u_set)
-            in_w = sum(1 for v in e if v in w_set)
-            if in_u == 1 and in_w == r - 1:
-                count += 1
-        if count < bound:
-            return CheckResult(VIOLATED, witness=(U, W), observed=count, bound=bound)
-    return CheckResult(NO_COUNTEREXAMPLE, trials=trials)
-
-
-def _sample_p7(H, rng, eps, trials) -> CheckResult:
-    lo = eps * H.n / 6.0
-    sizes = [s for s in range(1, H.n // 2 + 1) if s >= lo]
-    if not sizes:
-        return CheckResult(VERIFIED, observed=None, bound=None)  # vacuous
-    vertices = list(range(H.n))
-    for _ in range(trials):
-        u_size = sizes[rng.below(len(sizes))]
-        U = set(rng.choose(vertices, u_size))
-        crossing = any(
-            0 < sum(1 for v in e if v in U) < len(e) for e in H.edges
-        )
-        if not crossing:
-            U_t = tuple(sorted(U))
-            W_t = tuple(v for v in vertices if v not in U)
-            return CheckResult(VIOLATED, witness=(U_t, W_t))
-    return CheckResult(NO_COUNTEREXAMPLE, trials=trials)
-
-
 def property_report(
     H: Hypergraph,
     eps: float,
@@ -470,38 +428,33 @@ def property_report(
     """Verdicts for the seven structural properties P1..P7.
 
     P1-P3 are always exact. P4-P6 quantify over vertex subsets: exact mode
-    enumerates them and requires n <= guard; sampled mode draws random
-    (U, W) pairs and never claims Verified. P7 reduces to subset sums over
-    connected-component sizes, so its exact check runs at any n.
+    enumerates them and requires n <= guard; sampled mode draws ``trials``
+    random (U, W) pairs from one stream seeded by ``seed`` (``trials`` >= 1)
+    and claims Verified only for a vacuous P6. P7 reduces to subset sums
+    over connected-component sizes, so it is decided exactly in both modes.
+    Hosts need at least two vertices.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if H.n < 2:
+        raise ValueError(f"need n >= 2, got {H.n}")
+    if mode == "exact" and H.n > guard:
+        raise CapacityError(
+            f"exact mode for P4-P6 needs n <= {guard}, got n={H.n}; "
+            "use sampled mode or raise the guard"
+        )
     if d0 is None:
         d0 = default_property_d0(H.n, eps)
-    size_cap = max(1, math.floor(H.n / math.sqrt(math.log(H.n))))
-    size_cap = min(size_cap, H.n)
-
-    report = {
+    size_cap = math.floor(H.n / math.sqrt(math.log(H.n)))  # in 1..n for n >= 2
+    draws = (SplitMix64(seed), trials) if mode == "sampled" else (None, None)
+    return {
         "P1": _check_p1(H, eps),
         "P2": _check_p2(H, d0),
         "P3": _check_p3(H, d0),
+        "P4": _check_p4(H, size_cap, *draws),
+        "P5": _check_p5(H, eps, size_cap, *draws),
+        "P6": _check_p6(H, eps, size_cap, *draws),
+        "P7": _check_p7_exact(H, eps),
     }
-    if mode == "exact":
-        if H.n > guard:
-            raise CapacityError(
-                f"exact mode for P4-P6 needs n <= {guard}, got n={H.n}; "
-                "use sampled mode or raise the guard"
-            )
-        report["P4"] = _check_p4_exact(H, size_cap)
-        report["P5"] = _check_p5_exact(H, eps, size_cap)
-        report["P6"] = _check_p6_exact(H, eps, size_cap)
-        report["P7"] = _check_p7_exact(H, eps)
-    else:
-        rng = SplitMix64(seed)
-        report["P4"] = _sample_p4(H, rng, size_cap, trials)
-        report["P5"] = _sample_p5(H, rng, eps, size_cap, trials)
-        report["P6"] = _sample_p6(H, rng, eps, size_cap, trials)
-        report["P7"] = _sample_p7(H, rng, eps, trials)
-    return report

@@ -249,6 +249,26 @@ class TestPropsCmd:
         payload = json.loads(text)
         assert payload["P4"]["status"] in ("no_counterexample", "violated")
 
+    def test_one_vertex_host_exit_2(self, tmp_path, capsys):
+        host = tmp_path / "k1.txt"
+        host.write_text("1 2 0\n")
+        for mode in ("exact", "sampled"):
+            code, text, err = run_cli(
+                ["props", "--host", str(host), "--eps", "0.3", "--mode", mode],
+                capsys,
+            )
+            assert code == 2 and text == ""
+            assert err == "error: need n >= 2, got 1\n"
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_sampled_trials_below_one_exit_2(self, k7_file, trials, capsys):
+        args = ["props", "--host", k7_file, "--eps", "0.3", "--trials", trials]
+        code, text, err = run_cli(args + ["--mode", "sampled"], capsys)
+        assert code == 2 and text == ""
+        assert err == f"error: need at least one trial, got {trials}\n"
+        code, text, _ = run_cli(args, capsys)  # exact mode ignores trials
+        assert code == 0 and json.loads(text)["P4"]["trials"] == 0
+
 
 class TestRotateTraceCmd:
     def test_trace_shape(self, k7_file, capsys):

@@ -232,6 +232,14 @@ class TestExpander:
         with pytest.raises(CapacityError):
             is_expander(complete(20, 3), k=2, alpha=2)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sampled_trials_below_one_refused(self, trials):
+        H = complete(6, 3)
+        with pytest.raises(ValueError, match="at least one trial"):
+            is_expander(H, k=2, alpha=2, exhaustive=False, trials=trials)
+        exhaustive = is_expander(H, k=2, alpha=2, trials=trials)
+        assert exhaustive == is_expander(H, k=2, alpha=2)
+
 
 class TestDegreeConditions:
     def test_complete_passes_codegree_condition(self):

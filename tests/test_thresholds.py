@@ -202,6 +202,19 @@ class TestPropertyReport:
         )
         assert count > len(U) * math.log(8) ** 0.75
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_one_vertex_host_refused(self, mode):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            property_report(Hypergraph(1, 2, []), 0.3, mode=mode)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sampled_trials_below_one_refused(self, trials):
+        H = complete(8, 3)
+        with pytest.raises(ValueError, match="at least one trial"):
+            property_report(H, 0.3, mode="sampled", trials=trials)
+        exact = property_report(H, 0.3, mode="exact", trials=trials)
+        assert exact == property_report(H, 0.3, mode="exact")
+
     def test_default_d0_tiny_at_desk_scale(self):
         assert default_property_d0(40, 0.1) < 1e-6
 
@@ -267,3 +280,8 @@ class TestP7AgainstSampler:
             for e in H.edges:
                 assert len({v in side for v in e}) == 1, (e, U)
         assert violated >= 20
+
+    def test_sampled_report_decides_p7_exactly(self):
+        for i, (H, eps) in enumerate(p7_hosts()):
+            rep = property_report(H, eps, mode="sampled", trials=5, seed=i)
+            assert rep["P7"] == _check_p7_exact(H, eps)
