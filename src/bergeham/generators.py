@@ -85,7 +85,11 @@ def degree_condition_random(
 ) -> Hypergraph:
     """Random host certified to satisfy the codegree-support condition at
     eps: sampled from binomial(n, r, p*) and post-verified, doubling the
-    density on retry."""
+    density on retry.
+
+    The condition is ``check_codegree_condition``'s, not the paper's
+    delta_2; ``check_min_degree_conditions`` evaluates delta_1 and delta_2
+    as the paper states them."""
     if not 0 < eps < 0.2:
         raise ValueError(f"eps must be in (0, 0.2), got {eps}")
     if not n >= r >= 2:

@@ -63,15 +63,6 @@ def _canonical(n: int, r: int, edges: Iterable[Sequence[int]]) -> list:
     return kept
 
 
-def vertex_mask(vertices: Iterable[int]) -> int:
-    """Bitmask of vertex ids known to be in range; ``VertexSet.of`` checks
-    them."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
 class VertexSet:
     """Set of vertices backed by a bitmask over 0..n-1."""
 
@@ -199,7 +190,13 @@ class Hypergraph:
     @cached_property
     def edge_masks(self) -> tuple:
         """Per-edge vertex bitmask; hot-loop companion to ``edges``."""
-        return tuple(map(vertex_mask, self.edges))
+        masks = []
+        for e in self.edges:
+            m = 0
+            for v in e:
+                m |= 1 << v
+            masks.append(m)
+        return tuple(masks)
 
     def meeting_once(self, mask: int) -> list:
         """``edge_masks`` of the edges that meet the vertices in ``mask`` in
@@ -323,7 +320,7 @@ class CheckResult:
 
 
 def subsets(pool: Sequence[int], sizes: Iterable[int]) -> Iterator[tuple]:
-    """(subset, its ``vertex_mask``) for every subset of ``pool`` with a
+    """(subset, its vertex bitmask) for every subset of ``pool`` with a
     size in ``sizes``, size by size in ``combinations`` order: the cases of
     an exact check."""
     bits = [1 << v for v in pool]
@@ -333,10 +330,13 @@ def subsets(pool: Sequence[int], sizes: Iterable[int]) -> Iterator[tuple]:
 
 
 def draw_subset(rng: SplitMix64, pool: Sequence[int], size: int) -> tuple:
-    """(subset, its ``vertex_mask``) for a uniform ``size``-subset of
+    """(subset, its vertex bitmask) for a uniform ``size``-subset of
     ``pool``, sorted: a case of a sampled check."""
     subset = tuple(sorted(rng.choose(pool, size)))
-    return subset, vertex_mask(subset)
+    mask = 0
+    for v in subset:
+        mask |= 1 << v
+    return subset, mask
 
 
 def first_violation(results: Iterable, trials: Optional[int] = None) -> CheckResult:
@@ -445,8 +445,13 @@ def _strictly_below(bound: float) -> int:
 
 
 def check_codegree_condition(H: Hypergraph, eps: float) -> CheckResult:
-    """Check that every vertex v has at least (1/2 + eps)n partners u with
-    codegree(u, v) >= eps * n^(r-2); the failing vertex is the witness."""
+    """Check the codegree-support condition: every vertex v has at least
+    (1/2 + eps)n partners u with codegree(u, v) >= eps * n^(r-2); the
+    failing vertex is the witness.
+
+    This is not the paper's delta_2 condition, which bounds the minimum
+    codegree over all pairs; ``check_min_degree_conditions`` evaluates
+    delta_1 and delta_2 as the paper states them."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     threshold = eps * H.n ** (H.r - 2)
