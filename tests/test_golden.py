@@ -50,6 +50,7 @@ HOSTS = {
     "B14": ["--family", "binomial", "--n", "14", "--p", "0.25", "--seed", "2"],
     "B15": ["--family", "binomial", "--n", "15", "--p", "0.2", "--seed", "112"],
     "B16": ["--family", "binomial", "--n", "16", "--p", "0.15", "--seed", "3"],
+    "K3": ["--family", "complete", "--n", "3"],
     "E6": ["--family", "binomial", "--n", "6", "--p", "0"],
     "K5": ["--family", "complete", "--n", "5"],
     "TC8": ["--family", "two_cliques", "--n", "8"],
@@ -288,7 +289,9 @@ CHECKS = [
 
 # Sampled ``props`` output with P7 dropped from its JSON line (digested
 # like ``EFFORT_FREE``): P4-P6 draw from one seeded stream, in that order,
-# and must keep every draw; P7 is decided exactly, not sampled.
+# and must keep every draw; P7 is decided exactly, not sampled. On
+# complete(3, 3) a P5 draw with no room for W draws nothing more, and P6
+# draws after it.
 SAMPLED_CHECKS = [
     ("props", "E6",
      ["--eps", "0.3", "--mode", "sampled", "--trials", "50", "--seed", "1"],
@@ -304,6 +307,9 @@ SAMPLED_CHECKS = [
      "3a3fcc7141e71deff9a197f67c437f8e202bd30a475f50e78210129508fdd371"),
     ("props", "B12", ["--eps", "0.3", "--d0", "1", "--mode", "sampled", "--seed", "5"],
      "4f7c8cccd312003f0a210463690dcd040bc1d14f2bd94667b0f46ddbae66c83b"),
+    ("props", "K3",
+     ["--eps", "0.9", "--mode", "sampled", "--trials", "20", "--seed", "2"],
+     "7e657157d6e151b78bca713648006dd30a85545e3a83a7594c80e4a9d8555ed7"),
     ("props", "K60R2",
      ["--eps", "0.99", "--mode", "sampled", "--trials", "20", "--seed", "6"],
      "150c8b88399dda3379bb7cb4fd6cf117a1ee16162338eaef7ede7e3b1af9faea"),
