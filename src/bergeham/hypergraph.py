@@ -198,10 +198,11 @@ class Hypergraph:
             masks.append(m)
         return tuple(masks)
 
-    def meeting_once(self, mask: int) -> list:
+    def meeting_once(self, mask: int) -> Iterator[int]:
         """``edge_masks`` of the edges that meet the vertices in ``mask`` in
-        exactly one vertex, in edge order."""
-        return [m for m in self.edge_masks if (m & mask).bit_count() == 1]
+        exactly one vertex, in edge order. Lazy, so that a sampled check can
+        stop at the first edge that settles its case."""
+        return (m for m in self.edge_masks if (m & mask).bit_count() == 1)
 
     @cached_property
     def _edge_index(self) -> dict:
@@ -408,7 +409,7 @@ def is_expander(
         # a violating Y hits every edge that meets X once: only the other
         # vertices of those edges matter, smallest Y first
         for X, xmask in subsets(vertices, range(1, k + 1)):
-            touching = H.meeting_once(xmask)
+            touching = list(H.meeting_once(xmask))
             relevant = list(VertexSet(H.n, reduce(or_, touching, 0) & ~xmask))
             y_cap = min(_strictly_below(alpha * len(X)), len(relevant))
             for Y, ymask in subsets(relevant, range(y_cap + 1)):

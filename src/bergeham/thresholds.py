@@ -328,7 +328,7 @@ def _check_p5(H: Hypergraph, eps: float, size_cap: int, rng, trials) -> CheckRes
 
     def enumerated():
         for U, umask in subsets(vertices, range(1, size_cap + 1)):
-            once = H.meeting_once(umask)
+            once = list(H.meeting_once(umask))
             if len(once) <= per_vertex * len(U):
                 continue  # even W = everything cannot violate
             relevant = list(VertexSet(H.n, reduce(or_, once, 0) & ~umask))
@@ -370,7 +370,7 @@ def _check_p6(H: Hypergraph, eps: float, u_size: int, rng, trials) -> CheckResul
 
     def enumerated():
         for U, umask in subsets(vertices, (u_size,)):
-            once = H.meeting_once(umask)
+            once = list(H.meeting_once(umask))
             rest = [v for v in vertices if v not in U]
             for W, wmask in subsets(rest, (w_size,)):
                 yield U, W, wmask, once
