@@ -304,7 +304,9 @@ def _check_p4(H: Hypergraph, size_cap: int, rng, trials) -> CheckResult:
     per_vertex = math.log(H.n) ** 0.75
     vertices = range(H.n)
     if rng is None:
-        cases = subsets(vertices, range(1, size_cap + 1))
+        # no U meets more edges than the host has
+        sizes = [s for s in range(1, size_cap + 1) if s * per_vertex < H.num_edges]
+        cases = subsets(vertices, sizes)
     else:
         cases = (
             draw_subset(rng, vertices, 1 + rng.below(size_cap)) for _ in range(trials)
@@ -327,7 +329,9 @@ def _check_p5(H: Hypergraph, eps: float, size_cap: int, rng, trials) -> CheckRes
     vertices = range(H.n)
 
     def enumerated():
-        for U, umask in subsets(vertices, range(1, size_cap + 1)):
+        # no U meets more edges once than the host has
+        sizes = [s for s in range(1, size_cap + 1) if per_vertex * s < H.num_edges]
+        for U, umask in subsets(vertices, sizes):
             once = list(H.meeting_once(umask))
             if len(once) <= per_vertex * len(U):
                 continue  # even W = everything cannot violate
