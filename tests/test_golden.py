@@ -53,6 +53,7 @@ HOSTS = {
     "K3": ["--family", "complete", "--n", "3"],
     "E6": ["--family", "binomial", "--n", "6", "--p", "0"],
     "K5": ["--family", "complete", "--n", "5"],
+    "K5R2": ["--family", "complete", "--n", "5", "--r", "2"],
     "TC8": ["--family", "two_cliques", "--n", "8"],
     "K12": ["--family", "complete", "--n", "12"],
     "K60R2": ["--family", "complete", "--n", "60", "--r", "2"],
@@ -258,15 +259,17 @@ def test_golden_without_effort(command, host, extra, digest, host_files, capsys)
 # The structural property checks: exact ``props`` and ``thresholds``
 # output, digested whole as in ``CASES``. Between them and
 # ``SAMPLED_CHECKS`` they reach every status each property can report in
-# each mode: an edgeless host (E6) verifies P4 and P5 and violates P7,
-# complete(5, 3) at eps 0.9 makes P6 non-vacuous and violated, and
-# complete(60, 2) at eps 0.99 is the smallest kind of host on which a
-# sampled P6 has draws that all hold.
+# each mode: an edgeless host (E6) verifies P4 and P5 and violates P7; at
+# eps 0.9, P6 is not vacuous on complete(5, 3), where it is violated, nor
+# on complete(5, 2), where it holds; complete(60, 2) is sampled beyond the
+# exact guard.
 CHECKS = [
     ("props", "E6", ["--eps", "0.3"],
      "819d2b6ed9be0da6cdfdfafe60f0a5366b55727fb0da013420ab679a85c228ae"),
     ("props", "K5", ["--eps", "0.9"],
      "848e7a2c856ef55808524240209b31f3db7ae47f4cdb4bdcdec34b151bbca182"),
+    ("props", "K5R2", ["--eps", "0.9"],
+     "6e4c756d2bf134f2949c6b2ecec3331562b30e6fbfa005d1c927abc4cd356257"),
     ("props", "TC8", ["--eps", "0.5"],
      "f6d5030c3e129eea0f0e075063f411e0b6f1bf255568bf36e87a4197e2cc62c0"),
     ("props", "K12", ["--eps", "0.5"],
@@ -307,6 +310,8 @@ SAMPLED_CHECKS = [
      "3a3fcc7141e71deff9a197f67c437f8e202bd30a475f50e78210129508fdd371"),
     ("props", "B12", ["--eps", "0.3", "--d0", "1", "--mode", "sampled", "--seed", "5"],
      "4f7c8cccd312003f0a210463690dcd040bc1d14f2bd94667b0f46ddbae66c83b"),
+    ("props", "K5R2", ["--eps", "0.9", "--mode", "sampled", "--trials", "20"],
+     "9848b64215920c9979278880b8ce59d01f47671edb702e5a838efd2c63980159"),
     ("props", "K3",
      ["--eps", "0.9", "--mode", "sampled", "--trials", "20", "--seed", "2"],
      "7e657157d6e151b78bca713648006dd30a85545e3a83a7594c80e4a9d8555ed7"),
@@ -389,9 +394,7 @@ def test_golden_expander_calls():
 
 
 def test_check_cases_reach_every_status(host_files, capsys):
-    """Each property reaches each status it can report in each mode. An
-    exact P6 that is not vacuous is never verified below n = 55, beyond
-    the exact guard, so exact P6 is verified only vacuously here."""
+    """Each property reaches each status it can report in each mode."""
     reached = set()
     for table, mode in ((CHECKS, "exact"), (SAMPLED_CHECKS, "sampled")):
         for command, host, extra, _ in table:
