@@ -17,9 +17,12 @@ is one-sided: "yes" always ships a certificate checked in ``_yes``, while
 ``absorption_run`` runs the core once per step on a sparse extracted
 subgraph, joined up by crossing host edges that it finds by vertex
 bitmask, and between steps adds pairs (or single edges) from the host
-that verifiably lengthen the path or close a spanning cycle. The step
-streams its witnesses as the search does, so it stops rotating at the
-witness it absorbs at. A pair (e_s, e_t) is the search's own two moves:
+that verifiably lengthen the path or close a spanning cycle. When that
+subgraph has a certified obstruction (``berge.obstruction``), no
+rotation can close a spanning path in it, so such a path whose direct
+close fails goes straight to the absorption step. The step streams
+its witnesses as the search does, so it stops rotating at the witness
+it absorbs at. A pair (e_s, e_t) is the search's own two moves:
 a rotation of a witness with e_t at a pivot j, then the closing step
 through e_s. It is decided by its pivot sets, the positions j at which
 its two edges can do that, without building a graph; only the pair that
@@ -39,10 +42,12 @@ from .berge import (
     Budget,
     CertificateError,
     certify,
+    certify_obstruction,
     close_with,
     closing_edge,
     endpoint_closure,  # unused here; bench/workloads.py traces engine.endpoint_closure
     extend_at_tip,
+    obstruction,
     reopen_cycle,
     rotated,
     rotation_witnesses,
@@ -202,10 +207,12 @@ def _improve(
 
 
 def _search(
-    H: Hypergraph, path: BergePath, tracker: Budget
+    H: Hypergraph, path: BergePath, tracker: Budget, blocked: bool = False
 ) -> Tuple[Optional[BergeCycle], BergePath, Optional[str]]:
     """Grow ``path``; once it spans, close it directly or through rotated
     witnesses, and otherwise improve it by rotation and grow again.
+    ``blocked`` says that H has a certified obstruction, so no rotation
+    can close a spanning path: only its direct close is tried.
 
     Returns (cycle, last path, stop): a Hamilton cycle with stop None, or
     None and why the search stopped: BUDGET whenever the budget is spent,
@@ -216,7 +223,7 @@ def _search(
         path = _grow(H, path, tracker)
         if len(path) == H.n:
             cycle, _ = _try_endpoint(H, path, tracker, set(path.vertices))
-            if cycle is None and not tracker.exhausted:
+            if cycle is None and not blocked and not tracker.exhausted:
                 cycle, _ = _improve(H, path, tracker)
             if cycle is not None:
                 return cycle, path, None
@@ -368,7 +375,10 @@ def absorption_run(
     pairs (or single edges) from the host that verifiably lengthen the
     working path or close a Hamilton cycle. Each step that succeeds
     lengthens the path or makes it a spanning path the next search
-    closes, so at most n - 1 absorption steps succeed.
+    closes, so at most n - 1 absorption steps succeed. Before each
+    search, the working subgraph is checked for a certified obstruction;
+    with one, a spanning path that does not close directly is absorbed
+    at once rather than rotated.
 
     Returns the decision outcome plus a trace of extraction sizes and every
     absorbed addition.
@@ -396,7 +406,7 @@ def absorption_run(
 
     path = initial_path(gamma)
     for step in range(G.n):
-        cycle, path, stop = _search(gamma, path, tracker)
+        cycle, path, stop = _search(gamma, path, tracker, _obstructed(gamma))
         if cycle is not None:
             trace.append({"event": "hamiltonian", "step": step})
             return _yes(G, _remap_to_host(G, gamma, cycle), tracker), trace
@@ -411,6 +421,16 @@ def absorption_run(
         DecisionOutcome(UNKNOWN, effort=tracker.effort(), best_length=len(path)),
         trace,
     )
+
+
+def _obstructed(gamma: Hypergraph) -> bool:
+    """Whether the connected ``gamma`` has an obstruction, which is
+    certified (or CertificateError raised) before it is trusted."""
+    blocker = obstruction(gamma)
+    if blocker is None:
+        return False
+    certify_obstruction(gamma, blocker)
+    return True
 
 
 def _absorb_step(G, gamma, path, tracker, trace, step):

@@ -3,7 +3,16 @@ from typing import Optional, Tuple
 import pytest
 
 from bergeham import engine
-from bergeham.berge import BergeCycle, BergePath, Budget, reopen_cycle, verify_cycle
+from bergeham.berge import (
+    BergeCycle,
+    BergePath,
+    Budget,
+    CertificateError,
+    Obstruction,
+    reopen_cycle,
+    verify_cycle,
+    verify_path,
+)
 from bergeham.engine import (
     DEFAULT_BUDGET,
     _booster_candidates,
@@ -284,26 +293,15 @@ class TestAbsorptionRun:
 
 
 class TestBudgetStop:
-    @pytest.mark.parametrize(
-        "d0,seed,budget,spans",
-        [
-            # golden ``absorb B12 --seed 6 --budget 20``: the stream that
-            # should close a spanning path is refused at the limit
-            (None, 6, 20, True),
-            # the stream that should lengthen a 9-vertex path is refused
-            (1, 0, 10, False),
-        ],
-    )
-    def test_refused_stream_ends_the_run(self, monkeypatch, d0, seed, budget, spans):
-        """A search whose rotation stream the budget refuses stops with
-        BUDGET, whether its path spans or not, and absorption_run then runs
-        no absorption step, so it spends no more than its budget."""
-        G = binomial(12, 3, 0.06, seed=6)
+    @staticmethod
+    def _traced_run(monkeypatch, G, d0, seed, budget):
+        """absorption_run with each search's (stop, refused, spans) and
+        each absorption step's number recorded."""
         stops, steps = [], []
         search, absorb_step = engine._search, engine._absorb_step
 
-        def traced_search(H, path, tracker):
-            cycle, last, stop = search(H, path, tracker)
+        def traced_search(H, path, tracker, *blocked):
+            cycle, last, stop = search(H, path, tracker, *blocked)
             stops.append((stop, tracker.refused, len(last) == H.n))
             return cycle, last, stop
 
@@ -314,10 +312,45 @@ class TestBudgetStop:
         monkeypatch.setattr(engine, "_search", traced_search)
         monkeypatch.setattr(engine, "_absorb_step", traced_step)
         outcome, _ = absorption_run(G, d0=d0, budget=budget, seed=seed)
+        return outcome, stops, steps
+
+    @pytest.mark.parametrize(
+        "host,d0,seed,budget,spans",
+        [
+            # the stream that should close a spanning path in a gamma with
+            # no obstruction is refused at the limit
+            ("complete(10,3)", 1, 0, 10, True),
+            # the stream that should lengthen a 9-vertex path is refused
+            ("binomial(12,3,0.06,seed=6)", 1, 0, 10, False),
+        ],
+    )
+    def test_refused_stream_ends_the_run(
+        self, monkeypatch, host, d0, seed, budget, spans
+    ):
+        """A search whose rotation stream the budget refuses stops with
+        BUDGET, whether its path spans or not, and absorption_run then runs
+        no absorption step, so it spends no more than its budget."""
+        G = {
+            "complete(10,3)": complete(10, 3),
+            "binomial(12,3,0.06,seed=6)": binomial(12, 3, 0.06, seed=6),
+        }[host]
+        outcome, stops, steps = self._traced_run(monkeypatch, G, d0, seed, budget)
         assert stops == [(engine.BUDGET, True, spans)]
         assert steps == []
         assert outcome.verdict == "unknown"
         assert outcome.effort["rotations"] + outcome.effort["extensions"] == budget
+
+    def test_spanning_path_of_obstructed_gamma_goes_to_absorption(self, monkeypatch):
+        """Golden ``absorb B12 --seed 6 --budget 20``: gamma has a bridge,
+        so the search rotates no spanning path and stops with
+        SPANNING_UNCLOSABLE within budget; the absorption step spends the
+        rest and ends the run at the limit."""
+        G = binomial(12, 3, 0.06, seed=6)
+        outcome, stops, steps = self._traced_run(monkeypatch, G, None, 6, 20)
+        assert stops == [(engine.SPANNING_UNCLOSABLE, False, True)]
+        assert steps == [0]
+        assert outcome.verdict == "unknown"
+        assert outcome.effort["rotations"] + outcome.effort["extensions"] == 20
 
 
 class TestHigherUniformity:
@@ -564,3 +597,73 @@ def test_absorption_builds_only_what_it_keeps(monkeypatch):
         assert len(builds) == bool(trace[0]["connect_added"]) + len(absorbed)
         pair_absorptions += sum(t["arity"] == 2 for t in absorbed)
     assert pair_absorptions > 40
+
+
+def _bridged_host() -> Tuple[Hypergraph, BergePath]:
+    """Two copies of complete(4, 3), on 0..3 and on 4..7, joined by the
+    one edge (3, 4, 5), which is a bridge; and a spanning path through it."""
+    edges = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (3, 4, 5)]
+    edges += [(4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)]
+    H = Hypergraph(8, 3, edges)
+    route = [(0, 1, 2), (1, 2, 3), (0, 2, 3), (3, 4, 5), (4, 5, 6), (5, 6, 7), (4, 6, 7)]
+    path = BergePath(tuple(range(8)), tuple(H.edge_id_of(e) for e in route))
+    assert verify_path(H, path)
+    return H, path
+
+
+class TestObstructedGamma:
+    """absorption_run rotates no spanning path in a gamma with a certified
+    obstruction, which no rotation could close. With ``engine.obstruction``
+    patched to find none, every search drains those rotations as before."""
+
+    @staticmethod
+    def runs():
+        for n in (24, 36):
+            G = two_cliques_matching(n, seed=1)
+            for i in range(60):
+                yield G, None, derive_seed(0xAB50, i)
+        for n in range(12, 17):
+            for p in (0.1, 0.2):
+                found = [binomial(n, 3, p, seed=s) for s in range(12)]
+                for G in [H for H in found if H.is_connected][:2]:
+                    for d0 in (1, 2):
+                        for seed in range(3):
+                            yield G, d0, seed
+
+    def test_skip_moves_effort_only(self):
+        runs = skipped = 0
+        for G, d0, seed in self.runs():
+            got, got_trace = absorption_run(G, d0=d0, seed=seed)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "obstruction", lambda H: None)
+                want, want_trace = absorption_run(G, d0=d0, seed=seed)
+            got_json, want_json = got.to_json(), want.to_json()
+            got_effort, want_effort = got_json.pop("effort"), want_json.pop("effort")
+            assert got_json == want_json
+            assert got_trace == want_trace
+            assert got_effort["rotations"] <= want_effort["rotations"]
+            assert got_effort["closures"] <= want_effort["closures"]
+            assert got_effort["extensions"] == want_effort["extensions"]
+            runs += 1
+            skipped += got_effort["rotations"] < want_effort["rotations"]
+        assert runs > 200 and skipped > 120
+
+    def test_search_rotates_no_spanning_path_when_blocked(self):
+        H, path = _bridged_host()
+        assert engine._obstructed(H)
+        tracker = Budget()
+        cycle, last, stop = engine._search(H, path, tracker, blocked=True)
+        assert (cycle, last, stop) == (None, path, engine.SPANNING_UNCLOSABLE)
+        assert tracker.rotations == tracker.extensions == 0
+        # unblocked, the same search drains its rotations to the same end
+        tracker = Budget()
+        assert engine._search(H, path, tracker) == (None, path, stop)
+        assert tracker.rotations > 0
+
+    def test_obstruction_is_certified_before_it_is_trusted(self, monkeypatch):
+        # complete(8, 3) has no bridge; a claimed one must fail its check
+        claimed = Obstruction("bridge", edge=0, side=(0, 1, 2))
+        monkeypatch.setattr(engine, "obstruction", lambda H: claimed)
+        with pytest.raises(CertificateError):
+            absorption_run(complete(8, 3), seed=0)
+

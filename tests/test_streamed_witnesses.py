@@ -254,7 +254,8 @@ def test_absorption_step_matches_draining_copy_at_default_budget():
 
 def test_absorption_step_rotations_on_golden_tcm36():
     # golden ``absorb TCM36 --seed 9494955178128197401``: each step
-    # absorbs at its first witness, so the rest of its closures go
+    # absorbs at its first witness, so the rest of its closures go, and
+    # its gamma has a bridge, so no search rotates its spanning path
     G = two_cliques_matching(36, seed=1)
     seed = 9494955178128197401
     got, _ = absorption_run(G, seed=seed)
@@ -263,7 +264,7 @@ def test_absorption_step_rotations_on_golden_tcm36():
         want, _ = absorption_run(G, seed=seed)
     assert got.verdict == want.verdict == YES
     assert without_effort(got) == without_effort(want)
-    assert (want.effort["rotations"], got.effort["rotations"]) == (5417, 2710)
+    assert (want.effort["rotations"], got.effort["rotations"]) == (2710, 3)
     assert got.effort["extensions"] == want.effort["extensions"] == 16949
 
 
