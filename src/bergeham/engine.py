@@ -447,7 +447,7 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
     with e_t makes v_(j+1) the tip, and e_s closes it. So each pair is
     decided by whether its two pivot sets meet, and gamma plus the pair
     is built only for the pair that wins. Every pair tested counts as an
-    extension.
+    extension, and the scan stops once the budget is spent.
 
     Gamma is connected, so the first tip edge that leaves the path or
     holds s, and the first pair whose pivot sets meet, always lengthen
@@ -467,7 +467,8 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
         pos = {v: j for j, v in enumerate(witness.vertices)}
         pivots_t = [{pos[v] for v in e_t if v in pos} for e_t in cands_t]
         for e_s in cands_s:
-            if tracker.exhausted:
+            room = tracker.limit - tracker.used  # pairs the budget still allows
+            if room <= 0:
                 return None
             pivots_s = {pos[v] - 1 for v in e_s if v in pos}
             pivots_s.discard(-1)  # e_s holds s = v_0, which follows no pivot
@@ -476,6 +477,9 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
             for e_t, pivots in zip(cands_t, pivots_t):
                 if e_t == e_s:
                     continue
+                if not room:
+                    return None
+                room -= 1
                 tracker.extensions += 1
                 if pivots_s.isdisjoint(pivots):
                     continue

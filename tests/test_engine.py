@@ -371,9 +371,10 @@ class TestHigherUniformity:
 # sets, kept verbatim as the reference: it builds gamma plus both edges
 # for every candidate pair and lets _pair_boost judge it. The three
 # helpers below are verbatim copies of the engine's own before pair
-# absorption became a rotation plus a closing step. Only its witness
-# loop changed since: it streams the witnesses, as the engine does, so
-# the two spend the same rotations and their effort can be compared.
+# absorption became a rotation plus a closing step. Only two things
+# changed since, so that the two spend the same budget and their effort
+# can be compared: its witness loop streams the witnesses, as the
+# engine does, and its pair scan tests no pair once the budget is spent.
 def _pair_boost(
     gamma_plus: Hypergraph, path_vertices: tuple, path_edges: tuple, n: int
 ) -> Tuple[Optional[BergeCycle], Optional[BergePath]]:
@@ -452,6 +453,8 @@ def reference_absorb_step(G, gamma, path, tracker, trace, step):
             for e_t in cands_t:
                 if e_t == e_s:
                     continue
+                if tracker.exhausted:
+                    return None
                 gamma2 = Hypergraph(
                     G.n, G.r, list(gamma.edges) + [e_s, e_t]
                 )
@@ -530,7 +533,7 @@ class TestAbsorbStepMatchesReference:
                 hosts += [H for H in found if H.is_connected][:2]
         for G in hosts:
             for d0 in (1, 2, 4):
-                for seed in range(4):
+                for seed in range(6):
                     self._compare_budgets(G, d0, seed)
         assert self.compared > 500
         assert self.pair_absorptions > 40
@@ -667,3 +670,37 @@ class TestObstructedGamma:
         with pytest.raises(CertificateError):
             absorption_run(complete(8, 3), seed=0)
 
+
+def test_absorb_step_stays_within_budget(monkeypatch):
+    """Over a sweep of budgets, up to what each run spends at the default
+    budget, no absorption step leaves more budget used than its limit:
+    its pair scan tests no pair once the budget is spent."""
+    step = engine._absorb_step
+    steps = ran_out_in_pairs = 0
+
+    def checked_step(G, gamma, path, tracker, trace, step_no):
+        nonlocal steps, ran_out_in_pairs
+        extensions = tracker.extensions
+        result = step(G, gamma, path, tracker, trace, step_no)
+        assert tracker.used <= tracker.limit
+        steps += 1
+        ran_out_in_pairs += result is None and tracker.extensions > extensions
+        return result
+
+    monkeypatch.setattr(engine, "_absorb_step", checked_step)
+    runs = [(two_cliques_matching(36, seed=1), None, derive_seed(0xAB50, i)) for i in range(12)]
+    runs += [(two_cliques_matching(24, seed=1), None, derive_seed(0xAB50, i)) for i in range(12)]
+    for n in range(12, 17):
+        found = [binomial(n, 3, 0.15, seed=s) for s in range(4)]
+        runs += [(G, d0, 0) for G in found if G.is_connected for d0 in (1, 2)]
+    for G, d0, seed in runs:
+        outcome, _ = absorption_run(G, d0=d0, seed=seed)
+        spent = outcome.effort["rotations"] + outcome.effort["extensions"]
+        for budget in range(1, spent, max(1, spent // 30)):
+            absorption_run(G, d0=d0, budget=budget, seed=seed)
+    # golden ``absorb TCM36 --budget 15000`` runs out among 16,915 pairs
+    outcome, _ = absorption_run(
+        two_cliques_matching(36, seed=1), budget=15_000, seed=9494955178128197401
+    )
+    assert outcome.effort["rotations"] + outcome.effort["extensions"] == 15_000
+    assert steps > 600 and ran_out_in_pairs > 300
