@@ -92,15 +92,15 @@ CASES = [
     ("absorb", "K30", ["--seed", "2"],
      "ef629af0cd3eb8f39fc202d159ae1c934da73bbc0cfdae6deaf112aba3638539"),
     ("absorb", "TCM24", ["--seed", "3"],
-     "63b3a524a5366a381be4c2356dfc3e02df2fb1974fe3fe9d299c6884a07a6b4c"),
+     "56c7cf21b349a2bb9c7d50ccec5896f3f4459a8611bc5f9830662cdf11d52c4d"),
     ("absorb", "TCM24", ["--budget", "0"],
      "4a6364e4037cbcf808d4964154fd302c3691be3f80269f58d3de6a23297760a7"),
     ("absorb", "TCM36", ["--seed", "9494955178128197401"],
-     "998e5abb2c4a498e65feab28f9f128f3cb7efd8290af71409d07a057d742eee9"),
+     "8a310e2d274955698a40fc24d83a9c0a062b419f5d226836d7f619bbd2c6157a"),
     ("absorb", "TCM36", ["--seed", "9494955178128197401", "--budget", "15000"],
-     "6bafbc61be4d60e7ad58141ae9a8e7db6953e93acfafb69fabe88d9db6d7125d"),
+     "8b25823f57b66b5e2a8333f7af539a7a75eac86717649c10ef69af3cc9c97c29"),
     ("absorb", "B12", ["--seed", "6"],
-     "c7293f11b463705e89a3671e6b9d9f2b5718c85183959585fa42e945600114a1"),
+     "d92e9691100490d3b5d7548f7dd25aaea5c28c183fe7007ed2395b33e5672f86"),
     ("absorb", "B12", ["--seed", "6", "--budget", "10"],
      "858849d266eae6118755963667df061b516a934101df70e9f5b4e65233c02212"),
     ("absorb", "B12", ["--seed", "6", "--budget", "20"],
@@ -108,13 +108,13 @@ CASES = [
     ("absorb", "B12", ["--seed", "6", "--budget", "20", "--d0", "1"],
      "f8c0552be3df3f7b4d443dd0f862b30f754336d6984d15b504d49f07f3b85a2e"),
     ("absorb", "B13", ["--d0", "1", "--seed", "0"],
-     "b1f97361978cc5eb510f9d744595b9f9d35bf2212c86aa02b42392502a36d203"),
+     "8c9c6c593b8ca199b6ee51e0e479ec322de0c0eed17f1393013b08be07251176"),
     ("absorb", "B14", ["--d0", "2", "--seed", "4"],
      "858b9d56985b40362ac364c6f4ceca06ede92dde545f4c8f592b4d02f588fed3"),
     ("absorb", "B15", ["--d0", "1", "--seed", "1"],
-     "6f95c72ad5f751a1162152f30de32e09285b1f7b041a8570bc53284e56128a05"),
+     "68640f33c7c945c0ed8974ae94783116d766a9a4f0cf56247bb297eea459ef76"),
     ("absorb", "B16", ["--d0", "1", "--seed", "6"],
-     "dff4fdc7e755e428eb8bc0c9dcaebe4f096f9964bce0cb841d0266a33c5cbf22"),
+     "d609dfcd83e6cf7e16524e7e273b114c5d49a1811fb9dee7407ca4f2837697ec"),
     ("tau", "K10", ["--trials", "6", "--seed", "3"],
      "0e16e2c8f468d48fd302683bde165fb37286f002a88930038c1326cc12db015f"),
     ("tau", "K30", ["--trials", "4", "--seed", "9"],
