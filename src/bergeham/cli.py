@@ -26,7 +26,7 @@ from .generators import FAMILIES, GenSpec, GenerationError
 from .hypergraph import CapacityError, Hypergraph, ParseError, parse, serialize
 from .oracle import OracleGuard, exact_hamiltonian
 from .process import TrialConfig, records_to_csv, run_trials
-from .thresholds import property_report, threshold_report
+from .thresholds import PROPERTY_GUARD, property_report, threshold_report
 
 USAGE_ERROR = 2
 
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d0", type=float, default=None)
-    p.add_argument("--guard", type=int, default=12)
+    p.add_argument("--guard", type=int, default=PROPERTY_GUARD)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_props)
 

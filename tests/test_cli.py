@@ -8,6 +8,7 @@ from bergeham.cli import build_parser, main
 from bergeham.engine import DEFAULT_BUDGET
 from bergeham.generators import complete, two_cliques, two_cliques_matching
 from bergeham.hypergraph import serialize
+from bergeham.thresholds import PROPERTY_GUARD
 
 
 @pytest.fixture
@@ -268,6 +269,13 @@ class TestPropsCmd:
         assert err == f"error: need at least one trial, got {trials}\n"
         code, text, _ = run_cli(args, capsys)  # exact mode ignores trials
         assert code == 0 and json.loads(text)["P4"]["trials"] == 0
+
+    def test_guard_defaults_to_property_guard(self, monkeypatch):
+        # the default is read from thresholds, not copied into the parser
+        args = ["props", "--host", "h.txt", "--eps", "0.3"]
+        assert build_parser().parse_args(args).guard == PROPERTY_GUARD
+        monkeypatch.setattr("bergeham.cli.PROPERTY_GUARD", PROPERTY_GUARD + 1)
+        assert build_parser().parse_args(args).guard == PROPERTY_GUARD + 1
 
 
 class TestRotateTraceCmd:
