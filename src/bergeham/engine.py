@@ -406,7 +406,10 @@ def absorption_run(
 
     path = initial_path(gamma)
     for step in range(G.n):
-        cycle, path, stop = _search(gamma, path, tracker, _obstructed(gamma))
+        blocker = obstruction(gamma)
+        if blocker is not None:
+            certify_obstruction(gamma, blocker)  # raises unless it holds
+        cycle, path, stop = _search(gamma, path, tracker, blocker is not None)
         if cycle is not None:
             trace.append({"event": "hamiltonian", "step": step})
             return _yes(G, _remap_to_host(G, gamma, cycle), tracker), trace
@@ -421,16 +424,6 @@ def absorption_run(
         DecisionOutcome(UNKNOWN, effort=tracker.effort(), best_length=len(path)),
         trace,
     )
-
-
-def _obstructed(gamma: Hypergraph) -> bool:
-    """Whether the connected ``gamma`` has an obstruction, which is
-    certified (or CertificateError raised) before it is trusted."""
-    blocker = obstruction(gamma)
-    if blocker is None:
-        return False
-    certify_obstruction(gamma, blocker)
-    return True
 
 
 def _absorb_step(G, gamma, path, tracker, trace, step):
