@@ -32,7 +32,6 @@ from .hypergraph import (
     CheckResult,
     Hypergraph,
     ParseError,
-    VertexSet,
     check_codegree_condition,
     check_min_degree_conditions,
     is_expander,
@@ -85,7 +84,6 @@ __all__ = [
     "ThresholdReport",
     "TrialConfig",
     "TrialRecord",
-    "VertexSet",
     "absorption_run",
     "basic_thresholds",
     "binomial",

@@ -10,6 +10,7 @@ workers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, starmap
@@ -61,63 +62,6 @@ def _canonical(n: int, r: int, edges: Iterable[Sequence[int]]) -> list:
         seen.add(tup)
         kept.append(tup)
     return kept
-
-
-class VertexSet:
-    """Set of vertices backed by a bitmask over 0..n-1."""
-
-    __slots__ = ("n", "mask")
-
-    def __init__(self, n: int, mask: int = 0):
-        self.n = n
-        self.mask = mask
-
-    @classmethod
-    def of(cls, n: int, vertices: Iterable[int]) -> "VertexSet":
-        mask = 0
-        for v in vertices:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range 0..{n - 1}")
-            mask |= 1 << v
-        return cls(n, mask)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.mask >> v) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VertexSet)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.n, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.n, self.mask & ~other.mask)
-
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        return self.mask & other.mask == 0
-
-    def __repr__(self) -> str:
-        return f"VertexSet({self.n}, {{{', '.join(map(str, self))}}})"
 
 
 class Hypergraph:
@@ -173,19 +117,14 @@ class Hypergraph:
         return len(self.edges_with_pair(u, v))
 
     def edges_with_pair(self, u: int, v: int) -> tuple:
-        """Edge indices whose edge contains both u and v."""
+        """Ids of the edges that hold both u and v, ascending; none when
+        u == v, since no edge holds a vertex twice."""
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex out of range 0..{self.n - 1}")
-        key = (u, v) if u < v else (v, u)
-        return self._pair_index.get(key, ())
-
-    @cached_property
-    def _pair_index(self) -> dict:
-        index: dict = {}
-        for idx, e in enumerate(self.edges):
-            for a, b in combinations(e, 2):
-                index.setdefault((a, b), []).append(idx)
-        return {k: tuple(v) for k, v in index.items()}
+        if u == v:
+            return ()
+        edges = self.edges
+        return tuple(i for i in self.incidence[u] if v in edges[i])
 
     @cached_property
     def edge_masks(self) -> tuple:
@@ -215,14 +154,16 @@ class Hypergraph:
         """Index of the edge with this vertex set; KeyError if absent."""
         return self._edge_index[tuple(sorted(vertices))]
 
-    def neighborhood(self, vertices: Iterable[int]) -> VertexSet:
+    def neighborhood(self, vertices: Iterable[int]) -> set:
         """Vertices outside S touched by an edge that meets S."""
-        s = vertices if isinstance(vertices, VertexSet) else VertexSet.of(self.n, vertices)
-        mask = 0
+        s = set(vertices)
+        touched = set()
         for v in s:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
             for idx in self.incidence[v]:
-                mask |= self.edge_masks[idx]
-        return VertexSet(self.n, mask & ~s.mask)
+                touched.update(self.edges[idx])
+        return touched - s
 
     def subgraph(self, edge_ids: Iterable[int]) -> "Hypergraph":
         """New hypergraph on the same vertex set keeping the given edges,
@@ -410,7 +351,8 @@ def is_expander(
         # vertices of those edges matter, smallest Y first
         for X, xmask in subsets(vertices, range(1, k + 1)):
             touching = list(H.meeting_once(xmask))
-            relevant = list(VertexSet(H.n, reduce(or_, touching, 0) & ~xmask))
+            others = reduce(or_, touching, 0) & ~xmask
+            relevant = [v for v in vertices if others >> v & 1]
             y_cap = min(_strictly_below(alpha * len(X)), len(relevant))
             for Y, ymask in subsets(relevant, range(y_cap + 1)):
                 yield X, Y, ymask, touching
@@ -445,6 +387,11 @@ def _strictly_below(bound: float) -> int:
 # -- degree-condition checks -------------------------------------------------
 
 
+def _codegrees(H: Hypergraph) -> Counter:
+    """Codegree of every vertex pair (u < v) that some edge holds."""
+    return Counter(pair for e in H.edges for pair in combinations(e, 2))
+
+
 def check_codegree_condition(H: Hypergraph, eps: float) -> CheckResult:
     """Check the codegree-support condition: every vertex v has at least
     (1/2 + eps)n partners u with codegree(u, v) >= eps * n^(r-2); the
@@ -458,8 +405,8 @@ def check_codegree_condition(H: Hypergraph, eps: float) -> CheckResult:
     threshold = eps * H.n ** (H.r - 2)
     need = (0.5 + eps) * H.n
     good = [0] * H.n
-    for (u, v), eids in H._pair_index.items():
-        if len(eids) >= threshold:
+    for (u, v), count in _codegrees(H).items():
+        if count >= threshold:
             good[u] += 1
             good[v] += 1
     for v in range(H.n):
@@ -473,15 +420,14 @@ def check_min_degree_conditions(H: Hypergraph, eps: float) -> MinDegreeReport:
     (1/2^(r-1) + eps) * C(n-1, r-1) and delta_2 against eps * n^(r-2)."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if H.n < 2:
+        raise ValueError(f"need n >= 2, got {H.n}")
     d1_bound = (0.5 ** (H.r - 1) + eps) * math.comb(H.n - 1, H.r - 1)
     d2_bound = eps * H.n ** (H.r - 2)
     min_deg = H.min_degree()
-    total_pairs = math.comb(H.n, 2)
-    pair_index = H._pair_index
-    if len(pair_index) < total_pairs:
-        min_codeg = 0
-    else:
-        min_codeg = min(len(v) for v in pair_index.values())
+    codegrees = _codegrees(H)
+    # a pair that no edge holds has codegree 0
+    min_codeg = min(codegrees.values()) if len(codegrees) == math.comb(H.n, 2) else 0
     return MinDegreeReport(
         delta1_ok=min_deg >= d1_bound,
         delta2_ok=min_codeg >= d2_bound,

@@ -20,7 +20,6 @@ from .hypergraph import (
     CapacityError,
     CheckResult,
     Hypergraph,
-    VertexSet,
     draw_subset,
     first_violation,
     subsets,
@@ -277,7 +276,7 @@ def _check_p3(H: Hypergraph, d0: float) -> CheckResult:
     for i, e in enumerate(H.edges):
         if sum(1 for v in e if v in small) >= 2:
             return CheckResult(VIOLATED, witness=("edge", i))
-    closed = small | set(H.neighborhood(small))
+    closed = small | H.neighborhood(small)
     for v in range(H.n):
         if v in small:
             continue
@@ -335,7 +334,8 @@ def _check_p5(H: Hypergraph, eps: float, size_cap: int, rng, trials) -> CheckRes
             once = list(H.meeting_once(umask))
             if len(once) <= per_vertex * len(U):
                 continue  # even W = everything cannot violate
-            relevant = list(VertexSet(H.n, reduce(or_, once, 0) & ~umask))
+            others = reduce(or_, once, 0) & ~umask
+            relevant = [v for v in vertices if others >> v & 1]
             w_sizes = range(1, min(3 * len(U), len(relevant)) + 1)
             for W, wmask in subsets(relevant, w_sizes):
                 yield U, W, wmask, once

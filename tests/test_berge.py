@@ -341,6 +341,23 @@ class TestClosureMatchesReference:
         assert compared > 300
 
 
+class TestClosingEdge:
+    # edges 2, 3 and 4 hold both ends of the path 0-1-2-3
+    H = Hypergraph(5, 3, [(0, 1, 2), (1, 2, 3), (0, 3, 4), (0, 1, 3), (0, 2, 3)])
+    path = BergePath((0, 1, 2, 3), (0, 1, 4))
+
+    def test_lowest_unused_id(self):
+        assert closing_edge(self.H, self.path, {0, 1, 4}) == 2
+
+    def test_skips_used_ids(self):
+        assert closing_edge(self.H, self.path, {0, 1, 2, 4}) == 3
+        assert closing_edge(self.H, self.path, {0, 1, 2, 3, 4}) is None
+
+    def test_single_vertex_is_never_closed(self):
+        assert self.H.degree(0) == 4
+        assert closing_edge(self.H, BergePath((0,), ()), set()) is None
+
+
 class TestExtendOrClose:
     def test_single_edge_extends_single_vertex(self):
         H = Hypergraph(3, 3, [(0, 1, 2)])

@@ -18,8 +18,8 @@ among them; and τ₂ prefixes (TCM36) whose one matching triple is a
 bridge, so that no search can close them.
 Budgets include 0 and small values that run out mid-search.
 
-``PYTHONPATH=src python tests/test_golden.py`` prints the recorded and
-the current digest of every ``CASES``, ``EFFORT_FREE``, ``CHECKS`` and
+``python tests/test_golden.py`` prints the recorded and the current
+digest of every ``CASES``, ``EFFORT_FREE``, ``CHECKS`` and
 ``SAMPLED_CHECKS`` entry and of the ``is_expander`` calls, flags the ones
 that moved, and exits 1 if any did.
 """
@@ -34,6 +34,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+
+if __name__ == "__main__":
+    # run as a script: report on the package in this tree, not an installed one
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bergeham.cli import main
 from bergeham.generators import binomial, complete, two_cliques

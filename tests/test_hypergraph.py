@@ -13,7 +13,6 @@ from bergeham.hypergraph import (
     EdgeError,
     Hypergraph,
     ParseError,
-    VertexSet,
     _data_lines,
     check_codegree_condition,
     check_min_degree_conditions,
@@ -30,6 +29,10 @@ def brute_degree(H, v):
 
 def brute_codegree(H, u, v):
     return sum(1 for e in H.edges if u in e and v in e)
+
+
+def brute_pair_edges(H, u, v):
+    return tuple(i for i, e in enumerate(H.edges) if u in e and v in e)
 
 
 class TestConstruction:
@@ -135,10 +138,30 @@ class TestDegrees:
                 assert total == H.degree(v) * (H.r - 1)
 
 
+class TestEdgesWithPair:
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_scan_in_order(self, r):
+        hosts = [complete(7, r)] + [binomial(9, r, 0.4, seed=s) for s in range(3)]
+        for H in hosts:
+            for u, v in combinations(range(H.n), 2):
+                assert H.edges_with_pair(u, v) == brute_pair_edges(H, u, v)
+                assert H.edges_with_pair(v, u) == brute_pair_edges(H, u, v)
+
+    def test_same_vertex_holds_no_pair(self):
+        H = complete(5, 3)
+        assert all(H.edges_with_pair(v, v) == () for v in range(5))
+
+    def test_out_of_range(self):
+        H = complete(4, 3)
+        for u, v in [(0, 4), (4, 0), (-1, 2), (4, 4)]:
+            with pytest.raises(ValueError, match="out of range"):
+                H.edges_with_pair(u, v)
+
+
 class TestNeighborhood:
     def test_single_edge(self):
         H = Hypergraph(3, 3, [(0, 1, 2)])
-        assert set(H.neighborhood([0])) == {1, 2}
+        assert H.neighborhood([0]) == {1, 2}
 
     def test_empty_graph(self):
         H = Hypergraph(5, 3, [])
@@ -153,22 +176,11 @@ class TestNeighborhood:
             H = binomial(10, 3, 0.4, seed=seed)
             rng = SplitMix64(seed)
             S = set(rng.choose(list(range(10)), 3))
-            assert S.isdisjoint(set(H.neighborhood(S)))
-
-
-class TestVertexSet:
-    def test_roundtrip_and_ops(self):
-        a = VertexSet.of(8, [1, 3, 5])
-        b = VertexSet.of(8, [3, 4])
-        assert list(a) == [1, 3, 5]
-        assert len(a | b) == 4
-        assert list(a & b) == [3]
-        assert list(a - b) == [1, 5]
-        assert 5 in a and 4 not in a
+            assert S.isdisjoint(H.neighborhood(S))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            VertexSet.of(4, [4])
+        with pytest.raises(ValueError, match="vertex 4 out of range 0..3"):
+            complete(4, 3).neighborhood([4])
 
 
 class TestConnectivity:
@@ -267,6 +279,16 @@ class TestDegreeConditions:
     def test_single_edge_both_fail(self):
         rep = check_min_degree_conditions(Hypergraph(6, 3, [(0, 1, 2)]), 0.05)
         assert not rep.delta1_ok and not rep.delta2_ok
+
+    def test_min_codegree_matches_scan(self):
+        for H in [binomial(8, 3, 0.6, seed=s) for s in range(4)] + [complete(6, 2)]:
+            rep = check_min_degree_conditions(H, 0.05)
+            pairs = combinations(range(H.n), 2)
+            assert rep.min_codegree == min(brute_codegree(H, u, v) for u, v in pairs)
+
+    def test_min_degree_conditions_need_two_vertices(self):
+        with pytest.raises(ValueError, match="need n >= 2, got 1"):
+            check_min_degree_conditions(Hypergraph(1, 2, []), 0.1)
 
 
 class TestTextFormat:
