@@ -17,16 +17,20 @@ is one-sided: "yes" always ships a certificate checked in ``_yes``, while
 ``absorption_run`` runs the core once per step on a sparse extracted
 subgraph, joined up by crossing host edges that it finds by vertex
 bitmask, and between steps adds pairs (or single edges) from the host
-that verifiably lengthen the path or close a spanning cycle. When that
-subgraph has a certified obstruction (``berge.obstruction``), no
-rotation can close a spanning path in it, so such a path whose direct
-close fails goes straight to the absorption step. The step streams
-its witnesses as the search does, so it stops rotating at the witness
-it absorbs at. A pair (e_s, e_t) is the search's own two moves:
-a rotation of a witness with e_t at a pivot j, then the closing step
-through e_s. It is decided by its pivot sets, the positions j at which
-its two edges can do that, without building a graph; only the pair that
-wins is built. Both entry points spend a ``berge.Budget``, as
+that verifiably lengthen the path or close a spanning cycle. Each grown
+graph is ``Hypergraph.extended`` from the last, which checks only the
+edges it adds. When a spanning path does not close directly, the
+subgraph is checked for an obstruction (``berge.obstruction``,
+certified before it is trusted); with one, no rotation can close the
+path, so it goes straight to the absorption step. A search that ends
+in a cycle, or stuck, computes no obstruction. The step streams its
+witnesses as the search does, so it stops rotating at the witness it
+absorbs at. A pair (e_s, e_t) is the search's own two moves: a rotation
+of a witness with e_t at a pivot j, then the closing step through e_s.
+Each pivot j indexes the first e_t that can rotate there, so the first
+e_t that pairs with an e_s is read off e_s's own pivots, without a scan
+over the others and without building a graph; only the pair that wins
+is built. Both entry points spend a ``berge.Budget``, as
 ``berge.endpoint_closure`` does.
 """
 
@@ -34,7 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import partial
+from typing import Callable, Optional, Tuple
 
 from .berge import (
     BergeCycle,
@@ -52,7 +57,7 @@ from .berge import (
     rotated,
     rotation_witnesses,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph  # bench/workloads.py traces engine.Hypergraph
 from .oracle import DEFAULT_GUARD, exact_hamiltonian
 from .rng import SplitMix64, derive_seed
 
@@ -207,12 +212,17 @@ def _improve(
 
 
 def _search(
-    H: Hypergraph, path: BergePath, tracker: Budget, blocked: bool = False
+    H: Hypergraph,
+    path: BergePath,
+    tracker: Budget,
+    blocked: Callable[[], bool] = lambda: False,
 ) -> Tuple[Optional[BergeCycle], BergePath, Optional[str]]:
     """Grow ``path``; once it spans, close it directly or through rotated
     witnesses, and otherwise improve it by rotation and grow again.
-    ``blocked`` says that H has a certified obstruction, so no rotation
-    can close a spanning path: only its direct close is tried.
+    ``blocked()`` says that H has a certified obstruction, so no rotation
+    can close a spanning path. It is called only when a spanning path's
+    direct close fails with budget left, and if it is true no rotation is
+    tried.
 
     Returns (cycle, last path, stop): a Hamilton cycle with stop None, or
     None and why the search stopped: BUDGET whenever the budget is spent,
@@ -223,7 +233,7 @@ def _search(
         path = _grow(H, path, tracker)
         if len(path) == H.n:
             cycle, _ = _try_endpoint(H, path, tracker, set(path.vertices))
-            if cycle is None and not blocked and not tracker.exhausted:
+            if cycle is None and not tracker.exhausted and not blocked():
                 cycle, _ = _improve(H, path, tracker)
             if cycle is not None:
                 return cycle, path, None
@@ -341,7 +351,7 @@ def connect_components(G: Hypergraph, gamma: Hypergraph) -> ConnectOutcome:
         added.append(G.edges[i])
         for v in G.edges[i]:
             comp |= mask_of[v]
-    graph = Hypergraph(G.n, G.r, list(gamma.edges) + added) if added else gamma
+    graph = gamma.extended(added) if added else gamma
     inside = tuple(v for v in range(G.n) if comp >> v & 1)
     rest = tuple(v for v in range(G.n) if not comp >> v & 1)
     split = (inside, rest) if rest else None
@@ -350,9 +360,8 @@ def connect_components(G: Hypergraph, gamma: Hypergraph) -> ConnectOutcome:
 
 def _booster_candidates(G: Hypergraph, gamma: Hypergraph, v: int) -> list:
     """G-edges incident to v and absent from gamma, lexicographically."""
-    return sorted(
-        G.edges[e] for e in G.incidence[v] if not gamma.has_edge(G.edges[e])
-    )
+    edges, in_gamma = G.edges, gamma._edge_index  # both keyed by canonical edge
+    return sorted(edges[e] for e in G.incidence[v] if edges[e] not in in_gamma)
 
 
 def _remap_to_host(G: Hypergraph, gamma: Hypergraph, cycle: BergeCycle) -> BergeCycle:
@@ -375,9 +384,9 @@ def absorption_run(
     pairs (or single edges) from the host that verifiably lengthen the
     working path or close a Hamilton cycle. Each step that succeeds
     lengthens the path or makes it a spanning path the next search
-    closes, so at most n - 1 absorption steps succeed. Before each
-    search, the working subgraph is checked for a certified obstruction;
-    with one, a spanning path that does not close directly is absorbed
+    closes, so at most n - 1 absorption steps succeed. When a search's
+    spanning path does not close directly, the working subgraph is
+    checked for a certified obstruction; with one, the path is absorbed
     at once rather than rotated.
 
     Returns the decision outcome plus a trace of extraction sizes and every
@@ -406,10 +415,7 @@ def absorption_run(
 
     path = initial_path(gamma)
     for step in range(G.n):
-        blocker = obstruction(gamma)
-        if blocker is not None:
-            certify_obstruction(gamma, blocker)  # raises unless it holds
-        cycle, path, stop = _search(gamma, path, tracker, blocker is not None)
+        cycle, path, stop = _search(gamma, path, tracker, partial(_obstructed, gamma))
         if cycle is not None:
             trace.append({"event": "hamiltonian", "step": step})
             return _yes(G, _remap_to_host(G, gamma, cycle), tracker), trace
@@ -426,6 +432,15 @@ def absorption_run(
     )
 
 
+def _obstructed(H: Hypergraph) -> bool:
+    """Whether H has an obstruction, which is certified before it is
+    trusted: ``certify_obstruction`` raises unless it holds."""
+    blocker = obstruction(H)
+    if blocker is not None:
+        certify_obstruction(H, blocker)
+    return blocker is not None
+
+
 def _absorb_step(G, gamma, path, tracker, trace, step):
     """Find host edges outside gamma that improve the stuck path, scanning
     endpoint pairs from rotation closures at both ends. Returns the new
@@ -439,8 +454,11 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
     when some pivot j has v_(j+1) in e_s and v_j in e_t: rotating at j
     with e_t makes v_(j+1) the tip, and e_s closes it. So each pair is
     decided by whether its two pivot sets meet, and gamma plus the pair
-    is built only for the pair that wins. Every pair tested counts as an
-    extension, and the scan stops once the budget is spent.
+    is built only for the pair that wins. The pairs of one e_s are taken
+    in the order of ``cands_t``; the first that wins is the first e_t at
+    any of e_s's pivots. Every pair before it, and the winner, counts as
+    an extension, as if each had been tested, and the scan stops once the
+    budget is spent.
 
     Gamma is connected, so the first tip edge that leaves the path or
     holds s, and the first pair whose pivot sets meet, always lengthen
@@ -452,14 +470,19 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
         # single-edge absorption: extend at the tip or close through both ends
         for edge in cands_t:
             if s in edge or not on_path.issuperset(edge):
-                gamma2 = Hypergraph(G.n, G.r, list(gamma.edges) + [edge])
+                gamma2 = gamma.extended([edge])
                 won = _try_endpoint(gamma2, witness, tracker, on_path)
                 return _absorbed(trace, step, [edge], gamma2, *won)
-        # paired absorption: rotate with e_t, then close with e_s
-        cands_s = _booster_candidates(G, gamma, s)
+        # paired absorption: rotate with e_t, then close with e_s. No
+        # t-candidate holds s, or it was absorbed above, so no e_s is an e_t.
         pos = {v: j for j, v in enumerate(witness.vertices)}
-        pivots_t = [{pos[v] for v in e_t if v in pos} for e_t in cands_t]
-        for e_s in cands_s:
+        first_t: dict = {}  # pivot j -> the first index of cands_t holding v_j
+        for k, e_t in enumerate(cands_t):
+            for v in e_t:
+                if v in pos:
+                    first_t.setdefault(pos[v], k)
+        last = len(cands_t)
+        for e_s in _booster_candidates(G, gamma, s):
             room = tracker.limit - tracker.used  # pairs the budget still allows
             if room <= 0:
                 return None
@@ -467,21 +490,21 @@ def _absorb_step(G, gamma, path, tracker, trace, step):
             pivots_s.discard(-1)  # e_s holds s = v_0, which follows no pivot
             if not pivots_s:
                 continue
-            for e_t, pivots in zip(cands_t, pivots_t):
-                if e_t == e_s:
-                    continue
-                if not room:
-                    return None
-                room -= 1
-                tracker.extensions += 1
-                if pivots_s.isdisjoint(pivots):
-                    continue
-                gamma2 = Hypergraph(G.n, G.r, list(gamma.edges) + [e_s, e_t])
-                j = min(pivots_s & pivots)
-                m = gamma2.num_edges  # e_s and e_t hold the last two edge ids
-                cycle = certify(gamma2, close_with(rotated(witness, m - 1, j), m - 2))
-                won = _spans_or_reopen(gamma2, cycle)
-                return _absorbed(trace, step, [e_s, e_t], gamma2, *won)
+            win = min((first_t[j] for j in pivots_s if j in first_t), default=last)
+            tested = min(win + 1, last)  # the pairs up to the winner, or all
+            if tested > room:
+                tracker.extensions += room
+                return None
+            tracker.extensions += tested
+            if win == last:
+                continue
+            e_t = cands_t[win]
+            j = min(pivots_s.intersection(pos[v] for v in e_t if v in pos))
+            gamma2 = gamma.extended([e_s, e_t])
+            m = gamma2.num_edges  # e_s and e_t hold the last two edge ids
+            cycle = certify(gamma2, close_with(rotated(witness, m - 1, j), m - 2))
+            won = _spans_or_reopen(gamma2, cycle)
+            return _absorbed(trace, step, [e_s, e_t], gamma2, *won)
     return None
 
 

@@ -107,9 +107,6 @@ class Hypergraph:
     def min_degree(self) -> int:
         return min(self.degrees())
 
-    def max_degree(self) -> int:
-        return max(self.degrees())
-
     def codegree(self, u: int, v: int) -> int:
         """Number of edges containing both u and v."""
         if u == v:
@@ -178,6 +175,33 @@ class Hypergraph:
         sub = Hypergraph.__new__(Hypergraph)
         sub._store(self.n, self.r, [self.edges[i] for i in ids])
         return sub
+
+    def extended(self, edges: Iterable[Sequence[int]]) -> "Hypergraph":
+        """This hypergraph with ``edges`` appended, in order: every edge
+        keeps its id and only the added edges are checked. A rejected edge
+        raises the ``EdgeError`` that ``Hypergraph(n, r, list(self.edges) +
+        list(edges))`` would, with its index in that whole list."""
+        index = dict(self._edge_index)
+        incidence = list(self.incidence)
+        added = []
+        for e in edges:
+            k = len(index)
+            try:
+                (tup,) = _canonical(self.n, self.r, [e])
+            except EdgeError as err:
+                raise EdgeError(k, err.kind, err.edge, str(err)) from None
+            if tup in index:
+                raise EdgeError(k, "duplicate", tup, f"duplicate edge {tup}")
+            index[tup] = k
+            added.append(tup)
+            for v in tup:
+                incidence[v] += (k,)
+        grown = Hypergraph.__new__(Hypergraph)
+        grown.n, grown.r = self.n, self.r
+        grown.edges = self.edges + tuple(added)
+        grown.incidence = tuple(incidence)
+        grown._edge_index = index
+        return grown
 
     # -- connectivity ------------------------------------------------------
 

@@ -181,7 +181,8 @@ def exact_is_booster(
 ) -> bool:
     """True iff adding the two non-edges makes the host Berge Hamiltonian
     or strictly lengthens its longest Berge path. Only defined for
-    non-Hamiltonian hosts."""
+    non-Hamiltonian hosts. It shares no search with the engine, so the
+    tests use it to check the pairs ``engine.absorption_run`` absorbs."""
     _check_guard(gamma, guard)
     e1, e2 = (tuple(sorted(e)) for e in pair)
     if e1 == e2:
@@ -195,7 +196,7 @@ def exact_is_booster(
             raise ValueError(f"candidate {e} is already an edge of the host")
     if exact_hamiltonian(gamma, guard) is not None:
         raise ValueError("booster pairs are only defined for non-Hamiltonian hosts")
-    boosted = Hypergraph(gamma.n, gamma.r, list(gamma.edges) + [e1, e2])
+    boosted = gamma.extended([e1, e2])
     if exact_hamiltonian(boosted, guard) is not None:
         return True
     base_len = len(exact_longest_path(gamma, guard))

@@ -26,7 +26,7 @@ from bergeham.engine import (
 )
 from bergeham.generators import binomial, complete, two_cliques, two_cliques_matching
 from bergeham.hypergraph import Hypergraph
-from bergeham.oracle import exact_hamiltonian
+from bergeham.oracle import exact_hamiltonian, exact_is_booster, exact_longest_path
 from bergeham.rng import SplitMix64, derive_seed
 
 
@@ -477,28 +477,52 @@ class TestAbsorbStepMatchesReference:
     every candidate pair: the same outcome JSON (verdict, certificate,
     effort counts) and the same trace. Besides the default budget, each
     run is repeated with a budget that runs out in its closures and with
-    budgets that run out among the candidate pairs of its steps."""
+    budgets that run out among the candidate pairs of its steps: midway,
+    one pair short of the last pair a step tests, and, where that pair
+    wins, exactly at it."""
 
     def setup_method(self):
         self.compared = self.ran_out_in_pairs = self.pair_absorptions = 0
+        self.won_at_limit = self.pair_scans = 0
 
     def _reference(self, G, gamma, path, tracker, trace, step):
         extensions = tracker.extensions
-        result = reference_absorb_step(G, gamma, path, tracker, trace, step)
+        witnesses = []
+        stream = _witnesses
+
+        def recorded(*args):
+            for witness in stream(*args):
+                witnesses.append(witness)
+                yield witness
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(globals(), "_witnesses", recorded)
+            result = reference_absorb_step(G, gamma, path, tracker, trace, step)
+        won_pair = result is not None and trace[-1]["arity"] == 2
         # a single edge counts an extension only when it wins, so every
         # other extension a step counts is a candidate pair it tested
-        pairs = tracker.extensions - extensions - (
-            result is not None and trace[-1]["arity"] == 1
-        )
+        pairs = tracker.extensions - extensions - (result is not None and not won_pair)
         if pairs:
-            self.pair_spans.append((tracker.used - pairs, tracker.used))
+            self.pair_spans.append((tracker.used - pairs, tracker.used, won_pair))
             if result is None and tracker.exhausted:
                 self.ran_out_in_pairs += 1
+        self.won_at_limit += won_pair and tracker.used == tracker.limit
+        # A step scans pairs at each witness but one whose single edge it
+        # absorbs, and only after taking any t-candidate that holds s as a
+        # single edge. So no e_s, which holds s, is ever one of the e_t
+        # that the reference skips it as.
+        if result is not None and not won_pair:
+            witnesses.pop()
+        for witness in witnesses:
+            cands_t = _booster_candidates(G, gamma, witness.last)
+            assert not any(witness.first in e for e in cands_t)
+        self.pair_scans += len(witnesses)
         return result
 
     def _compare(self, G, d0, seed, budget):
-        """Compares one run; returns the budget used by the reference and
-        the (first, last) budget use of each step's candidate pairs."""
+        """Compares one run; returns the budget used by the reference and,
+        for each step that tests candidate pairs, the budget used before
+        its first pair and after its last, and whether that last pair won."""
         got_outcome, got_trace = absorption_run(G, d0=d0, budget=budget, seed=seed)
         self.pair_spans = []
         with pytest.MonkeyPatch.context() as mp:
@@ -518,9 +542,14 @@ class TestAbsorbStepMatchesReference:
     def _compare_budgets(self, G, d0, seed):
         used, spans = self._compare(G, d0, seed, DEFAULT_BUDGET)
         budgets = {used // 2}
-        for first, last in spans[:3]:
+        for first, last, won in spans[:3]:
             if last - first > 1:
-                budgets |= {(first + last) // 2, last - 1}
+                budgets.add((first + last) // 2)
+            # the room the last pair's e_s has is one short of, or exactly,
+            # the pairs it tests
+            budgets.add(last - 1)
+            if won:
+                budgets.add(last)
         for budget in sorted(budgets):
             if budget > 0:
                 self._compare(G, d0, seed, budget)
@@ -538,6 +567,8 @@ class TestAbsorbStepMatchesReference:
         assert self.compared > 500
         assert self.pair_absorptions > 40
         assert self.ran_out_in_pairs > 10
+        assert self.won_at_limit > 10
+        assert self.pair_scans > 300
 
     def test_two_cliques_matching_36(self):
         G = two_cliques_matching(36, seed=1)
@@ -549,6 +580,7 @@ class TestAbsorbStepMatchesReference:
             self._compare_budgets(G, None, derive_seed(0xAB50, i))
         assert self.pair_absorptions > 5
         assert self.ran_out_in_pairs > 8
+        assert self.won_at_limit > 3
 
     def test_long_pair_scan(self):
         # 16,915 candidate pairs before one closes; 15,000 runs out among them
@@ -579,17 +611,18 @@ class TestAbsorbStepMatchesReference:
 
 
 def test_absorption_builds_only_what_it_keeps(monkeypatch):
-    """On the absorb-trap host and seeds, absorption_run builds one graph
+    """On the absorb-trap host and seeds, absorption_run grows one graph
     that connects the extracted subgraph, when it needs edges, and one per
-    absorption it keeps; a candidate pair that cannot close builds nothing."""
+    absorption it keeps; a candidate pair that cannot close builds nothing.
+    Every graph it grows is ``Hypergraph.extended`` from the last."""
     builds = []
+    extended = Hypergraph.extended
 
-    class CountingHypergraph(Hypergraph):
-        def __init__(self, *args):
-            builds.append(1)
-            super().__init__(*args)
+    def counting_extended(self, edges):
+        builds.append(1)
+        return extended(self, edges)
 
-    monkeypatch.setattr(engine, "Hypergraph", CountingHypergraph)
+    monkeypatch.setattr(Hypergraph, "extended", counting_extended)
     G = two_cliques_matching(36, seed=1)
     pair_absorptions = 0
     for i in range(60):
@@ -656,7 +689,7 @@ class TestObstructedGamma:
         H, path = _bridged_host()
         assert engine.obstruction(H).kind == "bridge"
         tracker = Budget()
-        cycle, last, stop = engine._search(H, path, tracker, blocked=True)
+        cycle, last, stop = engine._search(H, path, tracker, blocked=lambda: True)
         assert (cycle, last, stop) == (None, path, engine.SPANNING_UNCLOSABLE)
         assert tracker.rotations == tracker.extensions == 0
         # unblocked, the same search drains its rotations to the same end
@@ -664,12 +697,82 @@ class TestObstructedGamma:
         assert engine._search(H, path, tracker) == (None, path, stop)
         assert tracker.rotations > 0
 
+    def test_obstruction_only_after_a_failed_direct_close(self, monkeypatch):
+        """On the absorb-trap host and seeds, absorption_run computes an
+        obstruction right after each direct close of a spanning path that
+        fails with budget left, and never otherwise: a search that closes
+        its path directly, that ends stuck, or whose budget ran out as its
+        path came to span, computes none. Each run is repeated with the
+        budget it had used at its first failed close."""
+        events = []
+        used = []  # budget used at each failed direct close
+        inside = []  # calls of _improve and _absorb_step in progress
+        try_endpoint, find = engine._try_endpoint, engine.obstruction
+
+        def traced_try(H, cand, budget, on_path):
+            cycle, longer = try_endpoint(H, cand, budget, on_path)
+            if not inside and len(cand) == H.n:  # _search's direct close
+                if cycle is not None:
+                    events.append("closed")
+                else:
+                    events.append("spent" if budget.exhausted else "failed")
+                    used.append(budget.used)
+            return cycle, longer
+
+        def nested(fn):
+            def call(*args):
+                inside.append(fn)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
+
+            return call
+
+        def traced_find(H):
+            events.append("obstruction")
+            return find(H)
+
+        def traced_search(*args):
+            events.append("search")
+            return search(*args)
+
+        search = engine._search
+        monkeypatch.setattr(engine, "_try_endpoint", traced_try)
+        monkeypatch.setattr(engine, "_improve", nested(engine._improve))
+        monkeypatch.setattr(engine, "_absorb_step", nested(engine._absorb_step))
+        monkeypatch.setattr(engine, "obstruction", traced_find)
+        monkeypatch.setattr(engine, "_search", traced_search)
+        G = two_cliques_matching(36, seed=1)
+        for i in range(60):
+            seed = derive_seed(0xAB50, i)
+            used.clear()
+            outcome, _ = absorption_run(G, seed=seed)
+            assert outcome.verdict == "yes"
+            outcome, _ = absorption_run(G, budget=used[0], seed=seed)
+            assert outcome.verdict == "unknown"
+        failed = [k for k, e in enumerate(events) if e == "failed"]
+        found = [k for k, e in enumerate(events) if e == "obstruction"]
+        assert found == [k + 1 for k in failed]
+        # one spanning path per run fails to close, of 114 searches
+        assert len(found) >= 60 and events.count("spent") == 60
+        assert len(found) < events.count("search") / 2
+
     def test_obstruction_is_certified_before_it_is_trusted(self, monkeypatch):
-        # complete(8, 3) has no bridge; a claimed one must fail its check
-        claimed = Obstruction("bridge", edge=0, side=(0, 1, 2))
-        monkeypatch.setattr(engine, "obstruction", lambda H: claimed)
+        # the bridged host's one spanning path does not close, so the check
+        # runs; its bridge holds, but a claimed side that edges cross fails
+        H, _ = _bridged_host()
+        calls = []
+
+        def claimed(gamma):
+            calls.append(gamma)
+            bridge = gamma.edge_id_of((3, 4, 5))
+            return Obstruction("bridge", edge=bridge, side=(0, 1, 2))
+
+        monkeypatch.setattr(engine, "obstruction", claimed)
         with pytest.raises(CertificateError):
-            absorption_run(complete(8, 3), seed=0)
+            absorption_run(H, d0=4, seed=0)
+        assert len(calls) == 1
 
 
 def test_absorb_step_stays_within_budget(monkeypatch):
@@ -708,3 +811,37 @@ def test_absorb_step_stays_within_budget(monkeypatch):
     )
     assert outcome.effort["rotations"] + outcome.effort["extensions"] == 15_000
     assert steps > 600 and ran_out_in_pairs > 300
+
+
+def test_absorbed_pairs_of_longest_paths_are_boosters(monkeypatch):
+    """``oracle.exact_is_booster`` as the independent check of absorption:
+    on small hosts of the reference comparison's kind, every pair that
+    ``_absorb_step`` absorbs while its path is a longest path of a
+    non-Hamiltonian gamma makes gamma Hamiltonian or its longest path
+    longer."""
+    step = engine._absorb_step
+    checked = []
+
+    def checked_step(G, gamma, path, tracker, trace, step_no):
+        result = step(G, gamma, path, tracker, trace, step_no)
+        if result is not None and trace[-1]["arity"] == 2:
+            longest = exact_hamiltonian(gamma) is None and len(path) == len(
+                exact_longest_path(gamma)
+            )
+            if longest:
+                pair = tuple(map(tuple, trace[-1]["added"]))
+                assert exact_is_booster(gamma, pair), (G, pair)
+                checked.append(len(path) < G.n)
+        return result
+
+    monkeypatch.setattr(engine, "_absorb_step", checked_step)
+    for n in range(8, 11):
+        for p in (0.1, 0.2, 0.3):
+            found = [binomial(n, 3, p, seed=s) for s in range(40)]
+            for G in [H for H in found if H.is_connected][:12]:
+                for d0 in (1, 2):
+                    for seed in range(4):
+                        absorption_run(G, d0=d0, seed=seed)
+    # pairs that lengthen a longest path short of n, and pairs that close
+    # a spanning one
+    assert checked.count(True) > 10 and checked.count(False) > 50

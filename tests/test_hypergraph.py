@@ -93,6 +93,96 @@ class TestSubgraph:
             complete(5, 3).subgraph(ids)
 
 
+def _random_growth(rng: SplitMix64) -> tuple:
+    """A random host and a list of distinct edges it lacks, each in a
+    random vertex order: (base, added)."""
+    n, r = 5 + rng.below(8), 2 + rng.below(3)
+    pool = list(combinations(range(n), r))
+    rng.shuffle(pool)
+    split = rng.below(len(pool))
+    base = Hypergraph(n, r, pool[:split])
+    added = []
+    for e in pool[split : split + rng.below(6)]:
+        e = list(e)
+        rng.shuffle(e)
+        added.append(tuple(e))
+    return base, added
+
+
+def _rejection(build):
+    """(kind, index, edge, message) of the EdgeError ``build()`` raises."""
+    with pytest.raises(EdgeError) as info:
+        build()
+    err = info.value
+    return err.kind, err.index, err.edge, str(err)
+
+
+class TestExtended:
+    """``H.extended(added)`` against ``Hypergraph(n, r, list(H.edges) + added)``."""
+
+    def test_matches_constructor_on_random_inputs(self):
+        rng = SplitMix64(0xE7)
+        for _ in range(300):
+            base, added = _random_growth(rng)
+            before = (base.edges, base.incidence, dict(base._edge_index))
+            grown = base.extended(added)
+            want = Hypergraph(base.n, base.r, list(base.edges) + added)
+            assert grown == want
+            assert grown.incidence == want.incidence
+            assert grown._edge_index == want._edge_index
+            # the base is left as it was
+            assert (base.edges, base.incidence, base._edge_index) == before
+
+    def test_grown_twice_keeps_every_id(self):
+        H = Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)])
+        grown = H.extended([(2, 3, 1)]).extended([(5, 0, 4), (1, 3, 5)])
+        assert grown == Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5), (1, 2, 3), (0, 4, 5), (1, 3, 5)])
+        assert grown.incidence == (
+            (0, 3), (0, 2, 4), (0, 2), (1, 2, 4), (1, 3), (1, 3, 4)
+        )
+        assert H.extended([]) == H
+
+    @pytest.mark.parametrize(
+        "added,kind,index",
+        [
+            ([(0, 1, 4), (0, 1)], "arity", 4),
+            ([(0, 2, 2)], "arity", 3),
+            ([(0, 1, 4), (1, 2, 6)], "range", 4),
+            ([(-1, 0, 1)], "range", 3),
+            ([(0, 1, 4), (2, 0, 1)], "duplicate", 4),
+            ([(0, 1, 4), (4, 1, 0)], "duplicate", 4),
+        ],
+        ids=["arity", "repeated-vertex", "range", "negative", "base-duplicate", "added-duplicate"],
+    )
+    def test_rejects_as_constructor(self, added, kind, index):
+        H = Hypergraph(6, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+        got = _rejection(lambda: H.extended(added))
+        assert got == _rejection(lambda: Hypergraph(6, 3, list(H.edges) + added))
+        assert got[:2] == (kind, index)
+
+    def test_rejects_as_constructor_on_random_faults(self):
+        rng = SplitMix64(0xBAD)
+        kinds = set()
+        for _ in range(300):
+            base, added = _random_growth(rng)
+            n, r = base.n, base.r
+            faults = [
+                tuple(range(r - 1)),  # arity
+                (0,) * r,  # a repeated vertex
+                tuple(range(n - r + 1, n + 1)),  # range
+            ]
+            if base.edges:  # a duplicate of a base edge, reordered
+                faults.append(base.edges[rng.below(base.num_edges)][::-1])
+            if added:  # a duplicate within the added edges
+                faults.append(added[rng.below(len(added))][::-1])
+            fault = faults[rng.below(len(faults))]
+            added.insert(rng.below(len(added) + 1), fault)
+            got = _rejection(lambda: base.extended(added))
+            assert got == _rejection(lambda: Hypergraph(n, r, list(base.edges) + added))
+            kinds.add(got[0])
+        assert kinds == {"arity", "range", "duplicate"}
+
+
 class TestDegrees:
     def test_complete_graph_degree(self):
         H = complete(6, 3)
