@@ -3,9 +3,10 @@
 ``bench/workloads.py`` swaps each of these attributes for a wrapper,
 reading the original from its owner's ``__dict__``, so each must stay
 bound there to the function the package calls. ``engine`` keeps
-``endpoint_closure`` bound although it does not call it: a cleanup that
-drops that import would break ``bench/run.py --trace 1`` on every
-workload.
+``endpoint_closure`` bound although it does not call it, and
+``Hypergraph`` although it grows graphs with ``Hypergraph.extended``
+rather than the constructor: a cleanup that drops either import would
+break ``bench/run.py --trace 1`` on every workload.
 """
 
 import pytest
