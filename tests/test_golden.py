@@ -15,7 +15,9 @@ fallback saying yes and no; single-edge and pair absorption that
 lengthen the path or close it, and a pair scan (TCM36) that tests
 thousands of candidate pairs before one closes, or runs out of budget
 among them; and τ₂ prefixes (TCM36) whose one matching triple is a
-bridge, so that no search can close them.
+bridge, so that no search can close them; and the τ_BH search of
+``tau --full-tau-bh``, which bisects past τ₂ to a conclusive hitting
+time (K9R4) or stops at an unknown probe (TCM24).
 Budgets include 0 and small values that run out mid-search.
 
 ``python tests/test_golden.py`` prints the recorded and the current
@@ -61,6 +63,7 @@ HOSTS = {
     "TC8": ["--family", "two_cliques", "--n", "8"],
     "K12": ["--family", "complete", "--n", "12"],
     "K60R2": ["--family", "complete", "--n", "60", "--r", "2"],
+    "K9R4": ["--family", "complete", "--n", "9", "--r", "4"],
 }
 
 # (command, host, extra arguments, sha256 of "exit=<code>\n" + stdout)
@@ -129,6 +132,10 @@ CASES = [
      "3eb892b56c91b3d5de8509fa4ff73a08345f73686ae1a5aede879ea1fb7780f8"),
     ("tau", "B16", ["--trials", "3", "--seed", "2", "--full-tau-bh"],
      "68841e100cba0b4e9decd42b4257d01680c8aada2cf66c21279da95d4b58ca13"),
+    ("tau", "K9R4", ["--trials", "8", "--seed", "1", "--full-tau-bh"],
+     "bf51e29478aa218922e835b64ffe3e7978725cd3d441560655e0009ee4a992b9"),
+    ("tau", "TCM24", ["--trials", "6", "--seed", "1", "--budget", "2000", "--full-tau-bh"],
+     "02fbe476dbe7d35954e2b95e76ea31b765d786ef09e46f11f6362f7d97be0218"),
     ("rotate-trace", "K10", [],
      "781df8d480882bc7b78f5c62706811c4de92aa501b1adc2b316c5b587f1561fb"),
     ("rotate-trace", "TCM24", ["--budget", "25"],
