@@ -92,9 +92,7 @@ def _cmd_decide(args) -> int:
 def _cmd_absorb(args) -> int:
     H = _load_host(args.host)
     d0 = args.d0 if args.d0 is not None else default_d0(H.n, args.eps)
-    outcome, trace = absorption_run(
-        H, d0=d0, budget=args.budget, seed=args.seed, eps=args.eps
-    )
+    outcome, trace = absorption_run(H, d0=d0, budget=args.budget, seed=args.seed)
     lines = [_json_line({"seed": args.seed, "d0": d0, **outcome.to_json()})]
     lines += [_json_line(entry) for entry in trace]
     _emit("".join(lines), args.out)

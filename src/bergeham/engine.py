@@ -378,7 +378,6 @@ def absorption_run(
     d0: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    eps: float = 0.1,
 ) -> Tuple[DecisionOutcome, list]:
     """Extract a sparse subgraph, connect it, then repeatedly absorb edge
     pairs (or single edges) from the host that verifiably lengthen the
@@ -393,7 +392,7 @@ def absorption_run(
     absorbed addition.
     """
     if d0 is None:
-        d0 = default_d0(G.n, eps)
+        d0 = default_d0(G.n, 0.1)
     tracker = Budget(budget)
     trace: list = []
     if G.n < 3 or not G.is_connected or budget <= 0:

@@ -1,9 +1,10 @@
 """Random subgraph processes, hitting times, and the trial harness.
 
 A process is an ordering of the host's edges, drawn only as far as it is
-read; the prefix graph at step t keeps the first t. Hitting times are computed by a forward degree scan
-(minimum degree) or by search over t with monotone predicates (binary or
-linear), where probes may be exact or one-sided.
+read; the prefix graph at step t keeps the first t. Hitting times are
+computed by a forward degree scan (minimum degree) or by search over t
+with monotone predicates, where probes may be exact or one-sided: the
+strategy (binary or linear) picks the steps, one rule reads the result.
 """
 
 from __future__ import annotations
@@ -27,41 +28,32 @@ class NoHitError(Exception):
     """The property never holds, even with every edge present."""
 
 
-def _check_permutation(sigma: tuple, n_edges: int) -> None:
-    # N distinct integer ids from 0 to N - 1 are exactly 0..N-1, which an
-    # O(N) check shows without sorting the order
-    if len(sigma) != n_edges or len(set(sigma)) != n_edges or (
-        sigma and (min(sigma) != 0 or max(sigma) != n_edges - 1)
-    ):
-        raise ValueError("sigma must be a permutation of all edge indices")
-
-
 class SubgraphProcess:
     """Host plus an arrival order (a permutation of its edge indices).
 
-    The order is given in full, or drawn from an iterator only as far as
-    it is read (``lazy``). Either way every read sees the same order."""
+    The order is drawn from an iterator only as far as it is read
+    (``lazy``), or given in full and read at once. One check covers both:
+    each arrival taken must be a new id in 0..N-1, and ``sigma`` refuses
+    a source with ids left after N. Every read sees the same order."""
 
     __slots__ = ("host", "_order", "_source", "_seen")
 
     def __init__(self, host: Hypergraph, sigma: Sequence[int]):
-        self.host = host
-        self._order = tuple(sigma)
-        self._source: Optional[Iterator[int]] = None
-        self._seen = None
-        _check_permutation(self._order, host.num_edges)
+        self._take_from(host, iter(sigma))
+        self.sigma  # read, and so check, the whole order now
 
     @classmethod
     def lazy(cls, host: Hypergraph, ids: Iterator[int]) -> "SubgraphProcess":
-        """A process whose arrivals are taken from ``ids`` when first read.
-        Each id must be a new one in 0..N-1, and the whole order, once
-        read, must pass the same permutation check as a given one."""
+        """A process whose arrivals are taken from ``ids`` when first read."""
         proc = cls.__new__(cls)
-        proc.host = host
-        proc._order = []
-        proc._source = ids
-        proc._seen = set()
+        proc._take_from(host, ids)
         return proc
+
+    def _take_from(self, host: Hypergraph, ids: Iterator[int]) -> None:
+        self.host = host
+        self._order: list = []  # a tuple once read to the end
+        self._source: Optional[Iterator[int]] = ids
+        self._seen = set()
 
     @property
     def num_steps(self) -> int:
@@ -72,9 +64,9 @@ class SubgraphProcess:
         """The whole order; a lazy one is drawn to the end and kept."""
         if self._source is not None:
             self._draw(self.num_steps)
-            order = tuple(self._order)
-            self._order, self._source, self._seen = order, None, None
-            _check_permutation(order, self.num_steps)
+            for _ in self._source:
+                raise ValueError(f"order has more than {self.num_steps} arrivals")
+            self._order, self._source, self._seen = tuple(self._order), None, None
         return self._order
 
     def _draw(self, t: int) -> None:
@@ -206,9 +198,12 @@ def tau_property(
 ) -> TauSearchResult:
     """Hitting time of a monotone increasing property.
 
-    Probes returning unknown cannot be forced; the search then reports the
-    bracketing interval (largest known-no, smallest known-yes) instead of
-    a step.
+    The strategy only chooses which steps to probe, after the whole host:
+    ``linear`` scans up from 0 to the first yes; ``binary`` probes 0, then
+    bisects, and stops at its first unknown. One rule reads the result off
+    the probe log. The first yes step and the last no step before it make
+    the bracket (no, or 0 if there is none; yes), which unknown probes may
+    leave open. The hitting time is known when yes is 0 or no is yes - 1.
     """
     if strategy not in ("binary", "linear"):
         raise ValueError(f"strategy must be 'binary' or 'linear', got {strategy!r}")
@@ -223,49 +218,26 @@ def tau_property(
     final = run(N)
     if final == NO:
         raise NoHitError("property does not hold even with every edge present")
+    if strategy == "linear":
+        # monotonicity reconciles any unknowns a later no covers
+        for t in range(N):
+            if run(t) == YES:
+                break
+    elif final == YES and run(0) != YES:
+        lo, hi = 0, N
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            verdict = run(mid)
+            if verdict == UNKNOWN:
+                break
+            lo, hi = (lo, mid) if verdict == YES else (mid, hi)
 
-    lo_no = None  # largest t with verified no
-    hi_yes = N if final == YES else None
-
-    if strategy == "binary":
-        if final == YES:
-            first = run(0)
-            if first == YES:
-                return TauSearchResult(0, True, (0, 0), tuple(log))
-            if first == NO:
-                lo_no = 0
-            lo = 0
-            hi = N
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                verdict = run(mid)
-                if verdict == YES:
-                    hi = mid
-                    hi_yes = mid
-                elif verdict == NO:
-                    lo = mid
-                    lo_no = mid
-                else:
-                    return TauSearchResult(None, False, (lo, hi), tuple(log))
-            if lo_no == lo:
-                return TauSearchResult(hi, True, (lo, hi), tuple(log))
-            return TauSearchResult(None, False, (lo, hi), tuple(log))
-        return TauSearchResult(None, False, (0, N), tuple(log))
-
-    # linear scan; monotonicity reconciles any unknowns a later "no" covers
-    for t in range(0, N):
-        verdict = run(t)
-        if verdict == YES:
-            hi_yes = t
-            break
-        if verdict == NO:
-            lo_no = t
-    if hi_yes is not None and lo_no == hi_yes - 1:
-        return TauSearchResult(hi_yes, True, (lo_no, hi_yes), tuple(log))
-    if hi_yes == 0:
-        return TauSearchResult(0, True, (0, 0), tuple(log))
+    yes = min((t for t, verdict, _ in log if verdict == YES), default=None)
+    below = N + 1 if yes is None else yes
+    no = max((t for t, verdict, _ in log if verdict == NO and t < below), default=None)
+    conclusive = yes is not None and (yes == 0 or no == yes - 1)
     return TauSearchResult(
-        None, False, (lo_no if lo_no is not None else 0, hi_yes), tuple(log)
+        yes if conclusive else None, conclusive, (no or 0, yes), tuple(log)
     )
 
 

@@ -1,10 +1,15 @@
+import dataclasses
+
 import pytest
 
+from bergeham.engine import NO, UNKNOWN, YES
 from bergeham.generators import binomial, complete, two_cliques, two_cliques_matching
 from bergeham.hypergraph import Hypergraph
 from bergeham.rng import SplitMix64
 from bergeham.process import (
     NoHitError,
+    Probe,
+    TauSearchResult,
     TrialConfig,
     hamiltonicity_probe,
     oracle_probe,
@@ -196,6 +201,19 @@ class TestLazyDraws:
         with pytest.raises(ValueError):
             SubgraphProcess.lazy(H, iter(ids)).sigma
 
+    @pytest.mark.parametrize("ids", [[0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 4, 0, 9]])
+    def test_lazy_order_rejects_ids_past_the_last_edge(self, ids):
+        H = Hypergraph(6, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 5)])
+        proc = SubgraphProcess.lazy(H, iter(ids))
+        assert list(proc.arrivals()) == [0, 1, 2, 3, 4]
+        assert proc.prefix(5).num_edges == 5
+        with pytest.raises(ValueError):
+            proc.sigma
+        with pytest.raises(ValueError):
+            SubgraphProcess.lazy(H, iter(ids)).sigma
+        with pytest.raises(ValueError):
+            SubgraphProcess(H, ids)
+
     def test_lazy_order_reads_no_further_than_asked(self):
         H = complete(5, 3)
         source = iter(range(H.num_edges))
@@ -281,6 +299,129 @@ class TestTauProperty:
         probe = predicate_probe(lambda g: True)
         assert tau_property(proc, probe, "binary").step == 0
         assert tau_property(proc, probe, "linear").step == 0
+
+
+def reference_tau_property(
+    proc: SubgraphProcess, probe: Probe, strategy: str = "binary"
+) -> TauSearchResult:
+    """``tau_property`` as it was when each strategy kept its own bracket
+    and returned its own results, kept verbatim as the reference for the
+    probes it makes and the result it reads off them."""
+    if strategy not in ("binary", "linear"):
+        raise ValueError(f"strategy must be 'binary' or 'linear', got {strategy!r}")
+    N = proc.num_steps
+    log: list = []
+
+    def run(t: int) -> str:
+        verdict, provenance = probe(proc.prefix(t), t)
+        log.append((t, verdict, provenance))
+        return verdict
+
+    final = run(N)
+    if final == NO:
+        raise NoHitError("property does not hold even with every edge present")
+
+    lo_no = None  # largest t with verified no
+    hi_yes = N if final == YES else None
+
+    if strategy == "binary":
+        if final == YES:
+            first = run(0)
+            if first == YES:
+                return TauSearchResult(0, True, (0, 0), tuple(log))
+            if first == NO:
+                lo_no = 0
+            lo = 0
+            hi = N
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                verdict = run(mid)
+                if verdict == YES:
+                    hi = mid
+                    hi_yes = mid
+                elif verdict == NO:
+                    lo = mid
+                    lo_no = mid
+                else:
+                    return TauSearchResult(None, False, (lo, hi), tuple(log))
+            if lo_no == lo:
+                return TauSearchResult(hi, True, (lo, hi), tuple(log))
+            return TauSearchResult(None, False, (lo, hi), tuple(log))
+        return TauSearchResult(None, False, (0, N), tuple(log))
+
+    # linear scan; monotonicity reconciles any unknowns a later "no" covers
+    for t in range(0, N):
+        verdict = run(t)
+        if verdict == YES:
+            hi_yes = t
+            break
+        if verdict == NO:
+            lo_no = t
+    if hi_yes is not None and lo_no == hi_yes - 1:
+        return TauSearchResult(hi_yes, True, (lo_no, hi_yes), tuple(log))
+    if hi_yes == 0:
+        return TauSearchResult(0, True, (0, 0), tuple(log))
+    return TauSearchResult(
+        None, False, (lo_no if lo_no is not None else 0, hi_yes), tuple(log)
+    )
+
+
+def monotone_probe(hit: int, unknown: set) -> Probe:
+    """Yes from step ``hit`` on and no before it, but unknown at the steps
+    in ``unknown``."""
+
+    def probe(graph: Hypergraph, t: int):
+        if t in unknown:
+            return UNKNOWN, "foggy"
+        return (YES if t >= hit else NO), "exact"
+
+    return probe
+
+
+EDGES = complete(10, 2).edges
+
+
+def identity_process(n_steps: int) -> SubgraphProcess:
+    return SubgraphProcess(Hypergraph(10, 2, EDGES[:n_steps]), range(n_steps))
+
+
+class TestTauPropertyMatchesReference:
+    """Both strategies probe the same steps as the reference and read the
+    same result off them, except the one bracket the reference got wrong."""
+
+    @pytest.mark.parametrize("strategy", ["binary", "linear"])
+    def test_seeded_monotone_probes_with_unknowns(self, strategy):
+        rng = SplitMix64(0x7A0)
+        procs = [identity_process(n_steps) for n_steps in range(40)]
+        for _ in range(3000):
+            proc = procs[rng.below(len(procs))]
+            N = proc.num_steps
+            fog = rng.random() / 2
+            unknown = {t for t in range(N + 1) if rng.random() < fog}
+            probe = monotone_probe(rng.below(N + 2), unknown)  # N + 1: never
+            try:
+                want = reference_tau_property(proc, probe, strategy)
+            except NoHitError:
+                with pytest.raises(NoHitError):
+                    tau_property(proc, probe, strategy)
+                continue
+            got = tau_property(proc, probe, strategy)
+            if strategy == "binary" and N in unknown:
+                assert want.bracket == (0, N) and got.bracket == (0, None)
+                want = dataclasses.replace(want, bracket=(0, None))
+            assert got == want
+
+    def test_unknown_whole_host_leaves_the_bracket_open(self):
+        """An unknown whole host ends the binary search at once. No yes is
+        known, so the bracket has no upper end, as in a linear scan that
+        meets no yes."""
+        proc = identity_process(12)
+        probe = monotone_probe(7, {12})
+        assert tau_property(proc, probe, "binary") == TauSearchResult(
+            None, False, (0, None), ((12, UNKNOWN, "foggy"),)
+        )
+        everywhere = monotone_probe(7, set(range(13)))
+        assert tau_property(proc, everywhere, "linear").bracket == (0, None)
 
 
 class TestRunTrials:
