@@ -232,9 +232,10 @@ def tau_property(
                 break
             lo, hi = (lo, mid) if verdict == YES else (mid, hi)
 
+    # each strategy probes only between its last no and first yes so far,
+    # so every no in the log lies below every yes
     yes = min((t for t, verdict, _ in log if verdict == YES), default=None)
-    below = N + 1 if yes is None else yes
-    no = max((t for t, verdict, _ in log if verdict == NO and t < below), default=None)
+    no = max((t for t, verdict, _ in log if verdict == NO), default=None)
     conclusive = yes is not None and (yes == 0 or no == yes - 1)
     return TauSearchResult(
         yes if conclusive else None, conclusive, (no or 0, yes), tuple(log)
