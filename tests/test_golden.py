@@ -20,6 +20,13 @@ bridge, so that no search can close them; and the τ_BH search of
 time (K9R4) or stops at an unknown probe (TCM24).
 Budgets include 0 and small values that run out mid-search.
 
+The ``oracle`` cases pin the exact search's certificates for r = 2, 3
+and 4 (K5R2, K5, K10, K9R4) and on a sparse host where the search
+backtracks hundreds of times before it closes (B10); its "no" after a
+full search (B10N), on a host with fewer edges than vertices (B9) and on
+a disconnected host (TC8), each exit 1; and both guard refusals, n above ``--max-n``
+(K12) and edges above ``--max-edges`` (K10), each exit 2.
+
 ``python tests/test_golden.py`` prints the recorded and the current
 digest of every ``CASES``, ``EFFORT_FREE``, ``CHECKS`` and
 ``SAMPLED_CHECKS`` entry and of the ``is_expander`` calls, flags the ones
@@ -64,6 +71,8 @@ HOSTS = {
     "K12": ["--family", "complete", "--n", "12"],
     "K60R2": ["--family", "complete", "--n", "60", "--r", "2"],
     "K9R4": ["--family", "complete", "--n", "9", "--r", "4"],
+    "B10": ["--family", "binomial", "--n", "10", "--p", "0.08", "--seed", "8"],
+    "B10N": ["--family", "binomial", "--n", "10", "--p", "0.15", "--seed", "2"],
 }
 
 # (command, host, extra arguments, sha256 of "exit=<code>\n" + stdout)
@@ -144,6 +153,26 @@ CASES = [
      "027a41c6046a9a39b4c9d551a774149a073b373fd18604b2c14a34b3e8091e07"),
     ("rotate-trace", "B16", ["--budget", "0"],
      "6323f60ca94495aeaac10341f87ffc98815d22c6f3fdd38e7452784509e82a78"),
+    ("oracle", "K5", [],
+     "ff166f1e179f80cff40bcf63fd5700a1c906b75dc9cafc69ca879cd393051c02"),
+    ("oracle", "K10", [],
+     "4fd1ebc7c3c696405cdf50fbac5672f588265b1993d21afa28b035970a9a4d8a"),
+    ("oracle", "K5R2", [],
+     "2ae860ac722116edf85a9ba8316c5180ccbe87ee74fece2d2935cc75c9658421"),
+    ("oracle", "K9R4", [],
+     "f0fc78e3a696c215c50ab4a180acd73badb6c39a99d4db540a0cc4d9929bdcec"),
+    ("oracle", "B10", [],
+     "951abcd86bd19dff9ac92a3027123970eb263cca4bf3df7375f3cbb76029f113"),
+    ("oracle", "B10N", [],
+     "818ef15b3fca9926528aa9c1493dc00e4d9a97d4cdbec0f19d6f200e16d2ab15"),
+    ("oracle", "B9", [],
+     "818ef15b3fca9926528aa9c1493dc00e4d9a97d4cdbec0f19d6f200e16d2ab15"),
+    ("oracle", "TC8", [],
+     "818ef15b3fca9926528aa9c1493dc00e4d9a97d4cdbec0f19d6f200e16d2ab15"),
+    ("oracle", "K12", [],
+     "5f8bd21203fdbe78b3339b6c8102f5a67cea53316e7b8797aa7aea63e498d985"),
+    ("oracle", "K10", ["--max-edges", "100"],
+     "5f8bd21203fdbe78b3339b6c8102f5a67cea53316e7b8797aa7aea63e498d985"),
 ]
 
 
