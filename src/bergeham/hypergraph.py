@@ -349,24 +349,24 @@ def is_expander(
     exhaustive: bool = True,
     trials: int = 2000,
     seed: int = 0,
-    size_guard: int = EXPANDER_SIZE_GUARD,
 ) -> CheckResult:
     """Check the vertex-expansion property: every X with |X| <= k and
     every disjoint Y with |Y| < alpha|X| leave some edge meeting X exactly
     once and missing Y.
 
     Exhaustive mode scans all (X, Y) pairs and either verifies or returns
-    a violating pair; it refuses hosts above ``size_guard``. Sampled mode
-    draws ``trials`` (at least one) random pairs and can only ever produce
-    a witness, which carries ``trials``, or report that none was found.
+    a violating pair; it refuses hosts above ``EXPANDER_SIZE_GUARD``
+    vertices. Sampled mode draws ``trials`` (at least one) random pairs and
+    can only ever produce a witness, which carries ``trials``, or report
+    that none was found.
     """
     if not 1 <= k <= H.n:
         raise ValueError(f"k must be in 1..{H.n}, got {k}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if exhaustive and H.n > size_guard:
+    if exhaustive and H.n > EXPANDER_SIZE_GUARD:
         raise CapacityError(
-            f"exhaustive expander check needs n <= {size_guard}, got n={H.n}"
+            f"exhaustive expander check needs n <= {EXPANDER_SIZE_GUARD}, got n={H.n}"
         )
     vertices = range(H.n)
 

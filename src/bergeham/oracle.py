@@ -39,19 +39,46 @@ def _check_guard(H: Hypergraph, guard: OracleGuard) -> None:
         )
 
 
-def _augment(slot: int, cands, edge_of_slot, slot_of_edge, visited) -> bool:
-    """Kuhn augmenting step: try to give ``slot`` an edge, re-routing
-    earlier slots along an alternating path. Mutates only on success."""
-    for e in cands[slot]:
-        if e in visited:
-            continue
-        visited.add(e)
-        owner = slot_of_edge.get(e)
-        if owner is None or _augment(owner, cands, edge_of_slot, slot_of_edge, visited):
-            slot_of_edge[e] = slot
-            edge_of_slot[slot] = e
+class _PairMatching:
+    """The consecutive pairs of a vertex sequence on ``H``, each matched to
+    its own edge: ``push`` adds the next pair's candidate edges and keeps
+    the pair only if every pair can still get a distinct edge, ``pop``
+    drops the last pair and frees its edge, ``edges`` lists each pair's."""
+
+    __slots__ = ("cands", "edge_of_slot", "slot_of_edge")
+
+    def __init__(self, H: Hypergraph):
+        self.cands: list = []
+        self.edge_of_slot: list = [None] * H.n
+        self.slot_of_edge: list = [None] * H.num_edges
+
+    def push(self, pair_edges: tuple) -> bool:
+        self.cands.append(pair_edges)
+        if self._augment(len(self.cands) - 1, set()):
             return True
-    return False
+        self.cands.pop()
+        return False
+
+    def pop(self) -> None:
+        self.cands.pop()
+        self.slot_of_edge[self.edge_of_slot[len(self.cands)]] = None
+
+    def edges(self) -> tuple:
+        return tuple(self.edge_of_slot[: len(self.cands)])
+
+    def _augment(self, slot: int, visited: set) -> bool:
+        """Kuhn augmenting step: try to give ``slot`` an edge, re-routing
+        earlier slots along an alternating path. Mutates only on success."""
+        for e in self.cands[slot]:
+            if e in visited:
+                continue
+            visited.add(e)
+            owner = self.slot_of_edge[e]
+            if owner is None or self._augment(owner, visited):
+                self.slot_of_edge[e] = slot
+                self.edge_of_slot[slot] = e
+                return True
+        return False
 
 
 def exact_hamiltonian(
@@ -65,55 +92,34 @@ def exact_hamiltonian(
     """
     _check_guard(H, guard)
     n = H.n
-    if n < 2:
-        return None
-    if n == 2:
-        eids = H.edges_with_pair(0, 1)
-        if len(eids) >= 2:
-            return BergeCycle((0, 1), (eids[0], eids[1]))
-        return None
-    if H.num_edges < n or H.min_degree() < 2 or not H.is_connected:
+    # below 3 vertices a cycle repeats its one pair, which no two r-sets share
+    if n < 3 or H.num_edges < n or H.min_degree() < 2 or not H.is_connected:
         return None
 
     seq = [0]
-    in_seq = [False] * n
-    in_seq[0] = True
-    cands: list = [()] * n
-    edge_of_slot: dict = {}
-    slot_of_edge: dict = {}
+    in_seq = [v == 0 for v in range(n)]
+    pairs = _PairMatching(H)
 
-    def place(depth: int) -> bool:
-        # depth = number of placed vertices; slot depth-1 pairs the last two
-        if depth == n:
-            closing = H.edges_with_pair(seq[-1], 0)
-            cands[n - 1] = closing
-            if _augment(n - 1, cands, edge_of_slot, slot_of_edge, set()):
-                return True
-            return False
+    def place() -> bool:
+        if len(seq) == n:
+            return pairs.push(H.edges_with_pair(seq[-1], 0))
+        last_slot = len(seq) == n - 1
         for u in range(1, n):
-            if in_seq[u]:
-                continue
-            if depth == n - 1 and u < seq[1]:
+            if in_seq[u] or (last_slot and u < seq[1]):
                 continue  # reflection: keep second vertex below last
             pair_edges = H.edges_with_pair(seq[-1], u)
-            if not pair_edges:
-                continue
-            slot = depth - 1
-            cands[slot] = pair_edges
-            if _augment(slot, cands, edge_of_slot, slot_of_edge, set()):
+            if pair_edges and pairs.push(pair_edges):
                 seq.append(u)
                 in_seq[u] = True
-                if place(depth + 1):
+                if place():
                     return True
                 in_seq[u] = False
                 seq.pop()
-                e = edge_of_slot.pop(slot)
-                del slot_of_edge[e]
+                pairs.pop()
         return False
 
-    if place(1):
-        cycle = BergeCycle(tuple(seq), tuple(edge_of_slot[i] for i in range(n)))
-        return certify(H, cycle)
+    if place():
+        return certify(H, BergeCycle(tuple(seq), pairs.edges()))
     return None
 
 
@@ -123,50 +129,32 @@ def exact_longest_path(H: Hypergraph, guard: OracleGuard = DEFAULT_GUARD) -> Ber
     _check_guard(H, guard)
     n = H.n
     best: Tuple[tuple, tuple] = ((0,), ())
-    seq: list = []
-    in_seq = [False] * n
-    cands: list = [()] * n
-    edge_of_slot: dict = {}
-    slot_of_edge: dict = {}
-
-    def record() -> None:
-        nonlocal best
-        if len(seq) > len(best[0]):
-            edges = tuple(edge_of_slot[i] for i in range(len(seq) - 1))
-            best = (tuple(seq), edges)
+    usable = [v for v in range(n) if H.degree(v) > 0]
 
     def extend() -> None:
-        record()
+        nonlocal best
         depth = len(seq)
+        if depth > len(best[0]):
+            best = (tuple(seq), pairs.edges())
         # even routing through every still-usable vertex cannot beat best
-        potential = depth + sum(
-            1 for v in range(n) if not in_seq[v] and H.degree(v) > 0
-        )
-        if potential <= len(best[0]):
+        if depth + sum(1 for v in usable if not in_seq[v]) <= len(best[0]):
             return
         for u in range(n):
             if in_seq[u]:
                 continue
             pair_edges = H.edges_with_pair(seq[-1], u)
-            if not pair_edges:
-                continue
-            slot = depth - 1
-            cands[slot] = pair_edges
-            if _augment(slot, cands, edge_of_slot, slot_of_edge, set()):
+            if pair_edges and pairs.push(pair_edges):
                 seq.append(u)
                 in_seq[u] = True
                 extend()
                 in_seq[u] = False
                 seq.pop()
-                e = edge_of_slot.pop(slot)
-                del slot_of_edge[e]
+                pairs.pop()
 
     for start in range(n):
         seq = [start]
-        in_seq = [False] * n
-        in_seq[start] = True
-        edge_of_slot.clear()
-        slot_of_edge.clear()
+        in_seq = [v == start for v in range(n)]
+        pairs = _PairMatching(H)
         extend()
         if len(best[0]) == n:
             break
@@ -188,15 +176,11 @@ def exact_is_booster(
     if e1 == e2:
         raise ValueError("a booster pair needs two distinct candidate edges")
     for e in (e1, e2):
-        if len(e) != gamma.r or len(set(e)) != gamma.r:
-            raise ValueError(f"candidate {e} is not an {gamma.r}-set")
-        if min(e) < 0 or max(e) >= gamma.n:
-            raise ValueError(f"candidate {e} has a vertex out of range")
         if gamma.has_edge(e):
             raise ValueError(f"candidate {e} is already an edge of the host")
+    boosted = gamma.extended([e1, e2])  # refuses a bad arity or vertex
     if exact_hamiltonian(gamma, guard) is not None:
         raise ValueError("booster pairs are only defined for non-Hamiltonian hosts")
-    boosted = gamma.extended([e1, e2])
     if exact_hamiltonian(boosted, guard) is not None:
         return True
     base_len = len(exact_longest_path(gamma, guard))

@@ -14,7 +14,7 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .berge import certify_obstruction, obstruction
@@ -28,13 +28,19 @@ class NoHitError(Exception):
     """The property never holds, even with every edge present."""
 
 
+def _refusal(message: str):
+    raise ValueError(message)
+
+
 class SubgraphProcess:
     """Host plus an arrival order (a permutation of its edge indices).
 
     The order is drawn from an iterator only as far as it is read
     (``lazy``), or given in full and read at once. One check covers both:
     each arrival taken must be a new id in 0..N-1, and ``sigma`` refuses
-    a source with ids left after N. Every read sees the same order."""
+    a source with ids left after N. Every read sees the same order. Once a
+    read is refused, every read that needs an arrival past the last good
+    one raises the same error."""
 
     __slots__ = ("host", "_order", "_source", "_seen")
 
@@ -65,7 +71,7 @@ class SubgraphProcess:
         if self._source is not None:
             self._draw(self.num_steps)
             for _ in self._source:
-                raise ValueError(f"order has more than {self.num_steps} arrivals")
+                self._refuse(f"order has more than {self.num_steps} arrivals")
             self._order, self._source, self._seen = tuple(self._order), None, None
         return self._order
 
@@ -75,13 +81,19 @@ class SubgraphProcess:
         if t > len(order):
             for e in islice(self._source, t - len(order)):
                 if not 0 <= e < n_edges or e in seen:
-                    raise ValueError(
+                    self._refuse(
                         f"arrival {e} is not a new edge index of 0..{n_edges - 1}"
                     )
                 seen.add(e)
                 order.append(e)
             if len(order) < t:
-                raise ValueError(f"order ended after {len(order)} of {n_edges} arrivals")
+                self._refuse(f"order ended after {len(order)} of {n_edges} arrivals")
+
+    def _refuse(self, message: str) -> None:
+        """Raise ``message`` now and on every later draw: the refused id has
+        been taken from the source, so drawing on would skip past it."""
+        self._source = map(_refusal, repeat(message))
+        next(self._source)
 
     def arrivals(self) -> Iterator[int]:
         """Edge indices in arrival order, each drawn when first read."""
@@ -341,8 +353,6 @@ def run_trials(
 
 
 def _quantile(sorted_vals: list, q: float) -> float:
-    if not sorted_vals:
-        return math.nan
     pos = q * (len(sorted_vals) - 1)
     lo = math.floor(pos)
     hi = math.ceil(pos)

@@ -12,6 +12,7 @@ from bergeham.generators import (
     two_cliques_matching,
 )
 from bergeham.hypergraph import check_codegree_condition
+from bergeham.rng import derive_seed
 
 
 class TestComplete:
@@ -125,6 +126,17 @@ class TestDegreeConditionRandom:
     def test_eps_precondition(self):
         with pytest.raises(ValueError):
             degree_condition_random(30, 3, 0.5, seed=1)
+
+    def test_density_doubles_on_each_retry(self):
+        # at n = 8, eps = 0.05, seed 4 the draws at p = 4 eps and 8 eps fail
+        # the condition; the third, at 16 eps, passes and is returned
+        p = 4 * 0.05
+        for attempt in range(2):
+            H = binomial(8, 3, p, seed=derive_seed(4, attempt))
+            assert not check_codegree_condition(H, 0.05).ok
+            p *= 2
+        H = degree_condition_random(8, 3, 0.05, seed=4)
+        assert H == binomial(8, 3, p, seed=derive_seed(4, 2))
 
     def test_retries_exhausted(self):
         with pytest.raises(GenerationError):

@@ -156,6 +156,12 @@ class TestExactIsBooster:
         with pytest.raises(ValueError, match="already an edge"):
             exact_is_booster(gamma, ((0, 1, 2), (0, 1, 4)))
 
+    @pytest.mark.parametrize("bad", [(0, 1), (0, 1, 1), (0, 1, 5), (-1, 0, 1)])
+    def test_candidate_that_is_no_r_set_of_the_host_rejected(self, bad):
+        gamma = self.host_missing_closure()
+        with pytest.raises(ValueError, match="distinct vertices|out of range"):
+            exact_is_booster(gamma, ((0, 1, 4), bad))
+
     def test_same_candidate_twice_rejected(self):
         gamma = self.host_missing_closure()
         with pytest.raises(ValueError, match="distinct"):

@@ -214,6 +214,30 @@ class TestLazyDraws:
         with pytest.raises(ValueError):
             SubgraphProcess(H, ids)
 
+    @pytest.mark.parametrize(
+        "ids,read,good",
+        [
+            ([0, 1, 1, 2, 3, 4], lambda proc: proc.prefix(3), 2),  # repeated id
+            ([0, 1, 2, 3, 4, 4], lambda proc: proc.sigma, 5),  # one id too many
+        ],
+        ids=["repeated", "over_long"],
+    )
+    def test_a_refused_read_stays_refused(self, ids, read, good):
+        # the refused id has been taken from the source, so a second read
+        # must not go on past it; the good arrivals before it still read
+        H = Hypergraph(6, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 5)])
+        proc = SubgraphProcess.lazy(H, iter(ids))
+        with pytest.raises(ValueError) as first:
+            read(proc)
+        later = [read, read, lambda p: p.sigma]
+        if good < H.num_edges:
+            later += [lambda p: list(p.arrivals()), lambda p: p.prefix(good + 1)]
+        for again in later:
+            with pytest.raises(ValueError) as refused:
+                again(proc)
+            assert str(refused.value) == str(first.value)
+        assert proc.prefix(good).edges == H.subgraph(ids[:good]).edges
+
     def test_lazy_order_reads_no_further_than_asked(self):
         H = complete(5, 3)
         source = iter(range(H.num_edges))

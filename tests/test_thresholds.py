@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -217,6 +218,43 @@ class TestPropertyReport:
 
     def test_default_d0_tiny_at_desk_scale(self):
         assert default_property_d0(40, 0.1) < 1e-6
+
+
+def p5_violated_unpruned(H, eps):
+    """Whether some U of at most floor(n / sqrt(ln n)) vertices and W of
+    1..3|U| others have more than (eps/2) ln n |U| edges that meet U once
+    and also meet W. Every such pair is scanned: nothing is pruned."""
+    per_vertex = 0.5 * eps * math.log(H.n)
+    size_cap = math.floor(H.n / math.sqrt(math.log(H.n)))
+    for u_size in range(1, size_cap + 1):
+        for U in combinations(range(H.n), u_size):
+            once = [set(e) for e in H.edges if len(set(e) & set(U)) == 1]
+            rest = [v for v in range(H.n) if v not in U]
+            for w_size in range(1, min(3 * u_size, len(rest)) + 1):
+                for W in combinations(rest, w_size):
+                    if sum(1 for e in once if e & set(W)) > per_vertex * u_size:
+                        return True
+    return False
+
+
+def test_p5_exact_matches_unpruned_scan():
+    # sparse hosts reach the per-U prune (a U meeting too few edges once
+    # is skipped) and verify; denser ones violate
+    statuses = set()
+    for n in (6, 7, 8, 9):
+        for p in (0.04, 0.08, 0.15, 0.3):
+            for seed in range(4):
+                H = binomial(n, 3, p, seed=seed)
+                for eps in (0.5, 0.99):
+                    res = property_report(H, eps, mode="exact")["P5"]
+                    assert (res.status == VIOLATED) == p5_violated_unpruned(H, eps)
+                    if res.status == VIOLATED:
+                        U, W = res.witness
+                        once = [e for e in H.edges if len(set(e) & set(U)) == 1]
+                        count = sum(1 for e in once if set(e) & set(W))
+                        assert count == res.observed > res.bound
+                    statuses.add(res.status)
+    assert statuses == {VERIFIED, VIOLATED}
 
 
 def reference_sample_p7(H, rng, eps, trials) -> CheckResult:
