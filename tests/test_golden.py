@@ -24,8 +24,8 @@ The ``oracle`` cases pin the exact search's certificates for r = 2, 3
 and 4 (K5R2, K5, K10, K9R4) and on a sparse host where the search
 backtracks hundreds of times before it closes (B10); its "no" after a
 full search (B10N), on a host with fewer edges than vertices (B9) and on
-a disconnected host (TC8), each exit 1; and both guard refusals, n above ``--max-n``
-(K12) and edges above ``--max-edges`` (K10), each exit 2.
+a disconnected host (TC8), each exit 1; and both guard refusals, n above
+``--max-n`` (K12) and edges above ``--max-edges`` (K10), each exit 2.
 
 ``python tests/test_golden.py`` prints the recorded and the current
 digest of every ``CASES``, ``EFFORT_FREE``, ``CHECKS`` and
